@@ -9,11 +9,19 @@ exhaustive census.
 from .bijection import image_census, permutation_to_settuple, phi, reconstruct
 from .closed_form import evaluate_closed_form, formula_from_pfd, k_constant, psi_from_recurrence
 from .genfun import build_us
-from .run_counts import andre_triangle, brute_force_row, count_runs, log_concavity_check, run_polynomial
+from .run_counts import (
+    andre_column,
+    andre_triangle,
+    brute_force_row,
+    count_runs,
+    log_concavity_check,
+    run_polynomial,
+)
 
 __version__ = "0.1.0"
 
 __all__ = [
+    "andre_column",
     "andre_triangle",
     "brute_force_row",
     "build_us",

@@ -17,6 +17,7 @@ from math import factorial
 from time import perf_counter
 
 from . import bijection, closed_form, genfun, run_counts
+from .run_counts import _require
 from .exact_algebra import (
     partial_fractions,
     poly_eval,
@@ -80,12 +81,12 @@ def _count_value(n: int, s: int, method: str, budget: int) -> int:
         row = run_counts.brute_force_row(n)
         return row[s - 1] if s <= n - 1 else 0
     if method == "recurrence":
-        return run_counts.andre_triangle(n).value(n, s)
+        return run_counts.andre_column(n, s)[-1]
     if method == "genfun":
         _level_arg(s)
         u = genfun.build_us(s)[s]
         value = series_coefficients(u.ratfun, n)[n]
-        assert value.denominator == 1
+        _require(value.denominator == 1, f"series coefficient {n} of u_{s} is not an integer")
         return int(value)
     if method == "closed-form":
         _level_arg(s)
@@ -99,7 +100,7 @@ def _count_value(n: int, s: int, method: str, budget: int) -> int:
             successes = bijection.image_census(n, s, budget).successes
         except ValueError as e:
             raise UsageError(str(e))
-        assert successes * 4 % 2**s == 0
+        _require(successes * 4 % 2**s == 0, f"{successes} census successes, not 2^(s-2) * P")
         return successes * 4 // 2**s
     raise UsageError(f"unknown method {method!r}")
 
@@ -284,16 +285,19 @@ def cmd_trace(args) -> int:
 
 def _check_triangle_brute():
     for n in range(2, 10):
-        assert run_counts.brute_force_row(n) == run_counts.andre_triangle(n).entries[-1]
+        _require(
+            run_counts.brute_force_row(n) == run_counts.andre_triangle(n).entries[-1],
+            f"brute force row {n} disagrees with the recurrence",
+        )
     return "n <= 9"
 
 
 def _check_triangle_sums():
     t = run_counts.andre_triangle(30)
     for n, row in enumerate(t.entries, start=2):
-        assert sum(row) == factorial(n) and row[0] == 2
+        _require(sum(row) == factorial(n) and row[0] == 2, f"row {n}: sum or first column")
         if n >= 3:
-            assert t.value(n, 2) == 2**n - 4
+            _require(t.value(n, 2) == 2**n - 4, f"P({n},2) != 2**{n} - 4")
     return "rows 2..30"
 
 
@@ -301,7 +305,7 @@ def _check_first_up():
     for n in range(2, 8):
         full = run_counts.brute_force_row(n)
         up = run_counts.brute_force_row_first_up(n)
-        assert tuple(2 * v for v in up) == full
+        _require(tuple(2 * v for v in up) == full, f"first-run-up row {n} is not half the row")
     return "n <= 7"
 
 
@@ -312,7 +316,7 @@ def _check_series():
         coeffs = series_coefficients(us[s].ratfun, 25)
         for n in range(26):
             expect = t.value(n, s) if n >= 2 else 0
-            assert coeffs[n] == expect
+            _require(coeffs[n] == expect, f"coefficient {n} of u_{s} != P({n},{s})")
     return "s <= 8, n <= 25"
 
 
@@ -333,7 +337,8 @@ def _check_assembly():
     for s in range(2, 11):
         degrees = genfun.assembly_term_degrees(us, s)
         if s >= 3:
-            assert len({d for d in degrees if d >= 0}) == 1
+            equal = len({d for d in degrees if d >= 0}) == 1
+            _require(equal, f"assembly terms of u_{s} differ in degree")
     return "terms sum exactly, equal degrees for s >= 3"
 
 
@@ -341,7 +346,7 @@ def _check_psi_routes():
     for s in range(2, 9):
         via_pfd = closed_form.formula_from_pfd(s).psi
         via_rec = tuple(closed_form.psi_from_recurrence(s, s - 1))
-        assert via_pfd == via_rec
+        _require(via_pfd == via_rec, f"psi routes disagree at s={s}")
     return "s <= 8"
 
 
@@ -351,7 +356,10 @@ def _check_formula_values():
     for s in range(1, 9):
         f = closed_form.formula_from_pfd(s, us[s])
         for n in range(s + 1, 21):
-            assert closed_form.evaluate_closed_form(f, n) == t.value(n, s)
+            _require(
+                closed_form.evaluate_closed_form(f, n) == t.value(n, s),
+                f"closed formula for s={s} is wrong at n={n}",
+            )
     return "s <= 8, n <= 20"
 
 
@@ -359,10 +367,14 @@ def _check_asymptotics():
     for s in (2, 3, 4):
         reports = closed_form.asymptotic_report(s, range(2 * s, 41))
         errors = [r.relative_error for r in reports]
-        assert all(a >= b for a, b in zip(errors, errors[1:]))
+        _require(
+            all(a >= b for a, b in zip(errors, errors[1:])),
+            f"relative error for s={s} is not monotone",
+        )
         if s == 2:
-            assert all(
-                r.relative_error == Fraction(4, 2**r.n) for r in reports
+            _require(
+                all(r.relative_error == Fraction(4, 2**r.n) for r in reports),
+                "relative error for s=2 is not 4/2^n",
             )
     return "s in {2,3,4}, n <= 40"
 
@@ -374,11 +386,12 @@ def _check_roundtrip():
             if p[0] > p[1]:
                 continue
             st = bijection.permutation_to_settuple(p)
-            assert bijection.settuple_to_permutation(st) == p
+            _require(bijection.settuple_to_permutation(st) == p, f"{p} does not round-trip")
             s = len(st.sets)
             for h in product(*[(i + 1, i + 2) for i in range(s - 1)]):
                 image = bijection.phi(h, st)
-                assert bijection.reconstruct(image) == (h, st)
+                back = bijection.reconstruct(image)
+                _require(back == (h, st), f"{p} with h={h} does not round-trip")
                 checked += 1
     return f"n <= 7, every choice sequence ({checked} round trips)"
 
@@ -394,24 +407,25 @@ def _check_census():
 def _check_failure_classes():
     for n, s in ((5, 3), (6, 3), (5, 4), (6, 4), (7, 3)):
         tally = bijection.failure_census(n, s)
-        assert set(tally) <= set(bijection.FAILURE_CLASSES)
+        known = set(tally) <= set(bijection.FAILURE_CLASSES)
+        _require(known, f"unknown failure class at n={n}, s={s}")
         successes = bijection.image_census(n, s).successes
-        assert successes + sum(tally.values()) == s**n
+        _require(successes + sum(tally.values()) == s**n, f"tally at n={n}, s={s} misses tuples")
     return "four-class taxonomy covers every failure"
 
 
 def _check_polynomials():
     for n in range(2, 13):
         rp = run_counts.run_polynomial(n)  # cross-checked internally
-        assert poly_eval(rp.coeffs, 1) == factorial(n)
-        assert run_counts.log_concavity_check(rp.coeffs[1:])
+        _require(poly_eval(rp.coeffs, 1) == factorial(n), f"row polynomial {n} at 1 != {n}!")
+        _require(run_counts.log_concavity_check(rp.coeffs[1:]), f"row {n} is not log-concave")
     return "n <= 12"
 
 
 def _check_roots():
     for n in range(2, 11):
         count, nonpositive = sturm_real_root_audit(run_counts.run_polynomial(n).coeffs)
-        assert nonpositive and count >= 1
+        _require(nonpositive and count >= 1, f"row polynomial {n} has a positive real root")
     return "n <= 10"
 
 

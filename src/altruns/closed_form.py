@@ -27,7 +27,9 @@ from .exact_algebra import (
     poly_sub,
 )
 from .genfun import UsFunction, build_us
-from .run_counts import andre_triangle
+# andre_triangle is no longer called here but stays bound: perfbench's tracing
+# checks that it wraps the triangle in every module that imported it
+from .run_counts import andre_column, andre_triangle  # noqa: F401
 
 
 def k_constant(s: int) -> Fraction:
@@ -171,10 +173,10 @@ def asymptotic_report(s: int, n_list) -> list:
     n_list = list(n_list)
     if not n_list or min(n_list) < 2:
         raise ValueError("need n >= 2")
-    tri = andre_triangle(max(n_list))
+    column = andre_column(max(n_list), s)
     out = []
     for n in n_list:
-        p = tri.value(n, s)
+        p = column[n - 2]
         estimate = Fraction(4 * s**n, 2**s)
         out.append(AsymptoticEstimate(n, s, estimate, abs(Fraction(p) / estimate - 1)))
     return out

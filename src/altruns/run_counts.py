@@ -62,6 +62,24 @@ def brute_force_row_first_up(n: int) -> tuple:
     return tuple(row)
 
 
+def _require(cond, msg: str) -> None:
+    """An invariant check that holds under ``python -O`` too."""
+    if not cond:
+        raise ArithmeticError(msg)
+
+
+def _andre_step(m: int, prev: tuple, width: int) -> tuple:
+    """Columns 1..min(width, m-1) of row m from the leading entries of row m-1.
+
+    prev holds row m-1 up to column min(width, m-2); nothing further is read.
+    """
+    q = (0, 0) + prev + (0,)  # q[t + 1] is P(m-1, t)
+    return tuple(
+        t * a + 2 * b + (m - t) * c
+        for t, a, b, c in zip(range(1, min(width, m - 1) + 1), q[2:], q[1:], q)
+    )
+
+
 def andre_row(n: int, prev=()) -> tuple:
     """Row n from row n-1 via P(n,s) = s*P + 2*P(s-1) + (n-s)*P(s-2).
 
@@ -76,11 +94,40 @@ def andre_row(n: int, prev=()) -> tuple:
     prev = tuple(prev)
     if len(prev) != n - 2:
         raise ValueError(f"row {n} needs the {n - 2} entries of row {n - 1}")
+    return _andre_step(n, prev, n - 1)
 
-    def at(s):
-        return prev[s - 1] if 1 <= s <= n - 2 else 0
 
-    return tuple(s * at(s) + 2 * at(s - 1) + (n - s) * at(s - 2) for s in range(1, n))
+def andre_column(n_max: int, s: int) -> tuple:
+    """(P(2,s), ..., P(n_max,s)) in O(n_max * s), keeping columns 1..s of two rows.
+
+    Column s of a row reads only columns <= s of the row before, so row sums
+    are out of reach; instead every row m is checked for column 1 == 2 and for
+    the truncated row-sum identity (with P = P(m-1, .))
+        sum_{t<=s} P(m,t) = m*sum_{t<=s} P(t) - (m-s)*P(s) - (m-s-1)*P(s-1),
+    which for s >= m-1 is the full row sum m*(m-1)!. Finally P(n_max, 2) must
+    be 2**n_max - 4 when s >= 2.
+    """
+    if n_max < 2:
+        raise ValueError("column needs n_max >= 2")
+    if s < 1:
+        raise ValueError("columns start at s=1")
+    if s >= n_max:
+        return (0,) * (n_max - 1)  # right of the triangle in every row
+    row = (2,)
+    out = [2 if s == 1 else 0]
+    for m in range(3, n_max + 1):
+        prev, row = row, _andre_step(m, row, s)
+        at_s = prev[s - 1] if s <= len(prev) else 0
+        at_s1 = prev[s - 2] if 2 <= s <= len(prev) + 1 else 0
+        _require(row[0] == 2, f"P({m},1) != 2")
+        _require(
+            sum(row) == m * sum(prev) - (m - s) * at_s - (m - s - 1) * at_s1,
+            f"truncated row sum of row {m} up to column {s} is wrong",
+        )
+        out.append(row[s - 1] if s <= len(row) else 0)
+    if s >= 2:  # then n_max > s keeps column 2 in the last row
+        _require(row[1] == 2**n_max - 4, f"P({n_max},2) != 2**{n_max} - 4")
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -101,15 +148,15 @@ class RunTriangle:
 
 
 def andre_triangle(n_max: int) -> RunTriangle:
-    """Rows 2..n_max by the recurrence, with the row-sum invariant asserted."""
+    """Rows 2..n_max by the recurrence, each row checked to sum to n!."""
     if n_max < 2:
         raise ValueError("triangle needs n_max >= 2")
     rows = [(2,)]
     for n in range(3, n_max + 1):
         rows.append(andre_row(n, rows[-1]))
     for n, row in enumerate(rows, start=2):
-        assert sum(row) == factorial(n)
-        assert row[0] == 2
+        _require(sum(row) == factorial(n), f"row {n} does not sum to {n}!")
+        _require(row[0] == 2, f"P({n},1) != 2")
     return RunTriangle(2, n_max, tuple(rows))
 
 
@@ -150,7 +197,10 @@ def run_polynomial(n: int) -> RunPolynomial:
             poly_mul(poly((0, 2, m - 2)), cur),
         )
     row = andre_triangle(n).entries[-1]
-    assert not cur[0] and list(cur[1:]) == list(row)
+    _require(
+        not cur[0] and list(cur[1:]) == list(row),
+        f"row polynomial {n} disagrees with the row recurrence",
+    )
     return RunPolynomial(n, cur)
 
 

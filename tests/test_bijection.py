@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import permutations, product
 
 import pytest
@@ -264,3 +265,54 @@ def test_ttuple_violation():
     assert ttuple_violation(3, (fs(1, 2), fs(3))) is None
     assert ttuple_violation(3, (fs(1, 2), fs(2, 3))) == "overlap"
     assert ttuple_violation(4, (fs(1, 2), fs(3))) == "cover"
+
+
+def test_ttuple_violation_cost_is_independent_of_the_largest_element():
+    tracemalloc.start()
+    try:
+        verdict = ttuple_violation(10**9, (fs(1), fs(10**9)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert verdict == "cover"
+    assert peak < 1 << 20
+
+
+def _ttuple_violation_by_sets(n, sets):
+    seen = set()
+    for b in sets:
+        if b & seen:
+            return "overlap"
+        seen |= b
+    return None if seen == set(range(1, n + 1)) else "cover"
+
+
+@st.composite
+def near_partitions(draw):
+    """1..n dropped into blocks, then maybe one element added or removed."""
+    n = draw(st.integers(0, 8))
+    k = draw(st.integers(1, 4))
+    blocks = [set() for _ in range(k)]
+    for v in range(1, n + 1):
+        blocks[draw(st.integers(0, k - 1))].add(v)
+    edit = draw(st.sampled_from(("none", "add", "drop")))
+    target = blocks[draw(st.integers(0, k - 1))]
+    if edit == "add":
+        target.add(draw(st.integers(-1, n + 2)))
+    elif edit == "drop":
+        target.discard(draw(st.integers(1, max(n, 1))))
+    return n, tuple(frozenset(b) for b in blocks)
+
+
+@given(
+    st.one_of(
+        near_partitions(),
+        st.tuples(
+            st.integers(0, 8),
+            st.lists(st.frozensets(st.integers(-2, 10), max_size=5), max_size=5).map(tuple),
+        ),
+    )
+)
+def test_ttuple_violation_matches_set_definition(case):
+    n, sets = case
+    assert ttuple_violation(n, sets) == _ttuple_violation_by_sets(n, sets)

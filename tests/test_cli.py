@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -237,3 +242,63 @@ def test_table_deterministic(capsys):
     first = run(capsys, "table", "--n-max", "8", "--format", "json")
     second = run(capsys, "table", "--n-max", "8", "--format", "json")
     assert first == second
+
+
+# sha256 (first 16 hex digits) of `count --n N --s S` stdout in text, json and
+# csv, recorded from the full-triangle implementation the column path replaced
+COUNT_GOLDEN = {
+    (2, 1): ('53c234e5e8472b6a', 'a810005f4d281637', '11fcc94bbfe9b5ba'),
+    (2, 2): ('9a271f2a916b0b6e', '2b8851d18822e243', '9e6a9ad6407d5015'),
+    (2, 12): ('9a271f2a916b0b6e', '64222a632f8ac3d2', 'c38942d94702499e'),
+    (3, 1): ('53c234e5e8472b6a', '2d15aad51fa52386', '7d383417d210753a'),
+    (3, 2): ('7de1555df0c27003', '40e1877183f8104c', '305a35c836323ad5'),
+    (3, 3): ('9a271f2a916b0b6e', 'abb8d540abbb4593', '4b26f4fccdf0d6a2'),
+    (3, 12): ('9a271f2a916b0b6e', 'c1efd9fd53ed43ae', '65d5abc3dcb87e62'),
+    (420, 1): ('53c234e5e8472b6a', 'a2120fe8a92ad755', '9c313d5d1ffee6be'),
+    (420, 2): ('2fb08af2cce92eed', '6bc43f160d82917d', '0b4f489caff6539e'),
+    (420, 12): ('c89681257fa3e7a4', 'bbc14996da21065d', '08310526f550a12e'),
+    (420, 419): ('4858eaf5ca4f0544', 'c45a9692bbd66eff', 'fe0330422ef7a6b3'),
+    (420, 420): ('9a271f2a916b0b6e', 'cd7e869b956cead7', '641c5c2fc73ea1bb'),
+    (550, 1): ('53c234e5e8472b6a', 'e74ca9887413e4ed', 'c7f170f8ed435bc1'),
+    (550, 2): ('6cc1fd1f1a2c0804', '5323cc5f70c735b5', '6242c0cf7508d75e'),
+    (550, 12): ('40056345a71bd692', 'ef5665ad303ee04f', '704d1e417199c46e'),
+    (550, 549): ('209e63d20f8b06be', '0e56b963633b0473', '76e615a87c228bf8'),
+    (550, 550): ('9a271f2a916b0b6e', 'def9e218621614c0', '98d620375c2194d3'),
+    (1000, 1): ('53c234e5e8472b6a', 'c35af739d3b53516', '46e962d926b0cd60'),
+    (1000, 2): ('fa6de63dae75b384', '4694531dd0976388', '285bb5ea241afac3'),
+    (1000, 12): ('9badb9aaf459e76a', '3497648ca42d800e', 'fc57c00f346a1130'),
+    (1000, 999): ('ae1d75ab81004951', '8db0b0c717ae4ff3', '577e95be143d75d4'),
+    (1000, 1000): ('9a271f2a916b0b6e', '813e27dade7c0a3c', 'd2193431ebaf73d1'),
+}
+
+
+@pytest.mark.parametrize("n, s", sorted(COUNT_GOLDEN))
+def test_count_output_golden(capsys, n, s):
+    for fmt, expected in zip(("text", "json", "csv"), COUNT_GOLDEN[(n, s)]):
+        code, out, _ = run(capsys, "count", "--n", str(n), "--s", str(s), "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == expected, fmt
+
+
+VERIFY_WITH_WRONG_BRUTE_FORCE = """
+import sys
+from altruns import cli, run_counts
+assert sys.flags.optimize, "must run under python -O"
+right = run_counts.brute_force_row
+run_counts.brute_force_row = lambda n: tuple(reversed(right(n)))
+sys.exit(cli.main(["verify", "--suite", "triangle"]))
+"""
+
+
+def test_verify_fails_under_python_O():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", VERIFY_WITH_WRONG_BRUTE_FORCE],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "[FAIL] triangle: brute force matches the recurrence" in proc.stdout

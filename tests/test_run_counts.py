@@ -1,12 +1,15 @@
+from functools import lru_cache
 from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
+from altruns import run_counts
 from altruns.exact_algebra import poly_eval
 from altruns.run_counts import (
     BRUTE_FORCE_MAX_N,
     RunTriangle,
+    andre_column,
     andre_row,
     andre_triangle,
     brute_force_row,
@@ -150,3 +153,63 @@ def test_log_concavity():
     assert log_concavity_check((10, 1, 10)) is False
     assert log_concavity_check((5,))
     assert log_concavity_check(())
+
+
+@lru_cache(maxsize=None)
+def triangle_300():
+    return andre_triangle(300)
+
+
+@given(st.integers(2, 300).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n + 2))))
+def test_andre_column_matches_triangle(cell):
+    n, s = cell
+    column = andre_column(n, s)
+    assert len(column) == n - 1
+    assert column[-1] == triangle_300().value(n, s)
+    if s >= n:
+        assert not any(column)
+
+
+def test_andre_column_whole_column():
+    t = andre_triangle(60)
+    for s in (1, 2, 3, 7, 58, 59):
+        assert andre_column(60, s) == tuple(t.value(n, s) for n in range(2, 61))
+    assert andre_column(5, 4) == (0, 0, 0, 32)
+    assert andre_column(8, 4)[-1] == ROW_8[3]
+    with pytest.raises(ValueError):
+        andre_column(1, 1)
+    with pytest.raises(ValueError):
+        andre_column(5, 0)
+
+
+def _weight_off_by_one(m, prev, width):
+    # (m - t) -> (m - t - 1): that weight multiplies P(m-1, t-2), so columns 1
+    # and 2 stay right and column 3 goes wrong from row 4 on
+    q = (0, 0) + prev + (0,)
+    return tuple(
+        t * q[t + 1] + 2 * q[t] + (m - t - 1) * q[t - 1]
+        for t in range(1, min(width, m - 1) + 1)
+    )
+
+
+@pytest.mark.parametrize("s", [1, 2, 3, 12, 59])
+def test_andre_column_catches_a_corrupted_step(monkeypatch, s):
+    real = run_counts._andre_step
+
+    def last_entry_off(m, prev, width):
+        row = real(m, prev, width)
+        return row[:-1] + (row[-1] + 1,) if m == 40 else row
+
+    def first_column_off(m, prev, width):
+        row = real(m, prev, width)
+        return (row[0] + 2,) + row[1:] if m == 40 else row
+
+    corruptions = [last_entry_off, first_column_off]
+    if s >= 3:
+        corruptions.append(_weight_off_by_one)
+    for bad in corruptions:
+        monkeypatch.setattr(run_counts, "_andre_step", bad)
+        with pytest.raises(ArithmeticError):
+            andre_column(60, s)
+    monkeypatch.setattr(run_counts, "_andre_step", real)
+    assert andre_column(60, s)[-1] == andre_triangle(60).value(60, s)
