@@ -17,20 +17,22 @@ from dataclasses import dataclass
 from itertools import product
 from typing import NamedTuple, Optional
 
-from .run_counts import andre_triangle, count_runs
+from .exact_algebra import _require
+# andre_triangle is unused but stays bound for perfbench's tracing checks
+from .run_counts import andre_column, andre_triangle, count_runs  # noqa: F401
 
 EMPTY_UNION = "empty_union"
 SMALL_SET = "small_set"
 COVER = "cover"
 ADJACENT_OVERLAP = "adjacent_overlap"
 NONADJACENT_OVERLAP = "nonadjacent_overlap"
-FAR_OVERLAP = "far_overlap"
 ENDPOINT_MISMATCH = "endpoint_mismatch"
 
 # classes reconstruction can actually report, in the order they are checked
 FAILURE_CLASSES = (EMPTY_UNION, SMALL_SET, NONADJACENT_OVERLAP, ENDPOINT_MISMATCH)
 
 ENUMERATION_BUDGET = 1 << 24
+_BIT = (1).__lshift__
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,39 @@ class TTuple:
     sets: tuple
 
 
+def _masks(sets) -> list:
+    """Blocks of positive integers as bitmasks; bit v stands for element v."""
+    return [sum(map(_BIT, b)) for b in sets]
+
+
+def _candidate_violation(cand, s: int) -> Optional[str]:
+    """First failed condition of bitmask blocks that cover 1..n, adjacent ones
+    sharing one element at most: block sizes, disjointness two apart, then the
+    shared endpoints (max of both neighbors at odd junctions, min at even).
+
+    Blocks three or more apart need no check: with n+s-1 elements in all and
+    one shared per adjacent pair, each element lies in consecutive blocks, so
+    such an overlap implies one two apart, which is reported first.
+    """
+    for c in cand:
+        if c.bit_count() < 2:
+            return SMALL_SET
+    for i in range(s - 2):
+        if cand[i] & cand[i + 2]:
+            return NONADJACENT_OVERLAP
+    for i in range(s - 1):
+        shared = cand[i] & cand[i + 1]
+        if i % 2 == 0:
+            top = 1 << (cand[i].bit_length() - 1)
+            if shared != top or cand[i].bit_length() != cand[i + 1].bit_length():
+                return ENDPOINT_MISMATCH
+        else:
+            low = cand[i] & -cand[i]
+            if shared != low or low != cand[i + 1] & -cand[i + 1]:
+                return ENDPOINT_MISMATCH
+    return None
+
+
 def settuple_violation(n: int, sets) -> Optional[str]:
     """First violated run-decomposition condition, or None.
 
@@ -59,22 +94,21 @@ def settuple_violation(n: int, sets) -> Optional[str]:
     s = len(sets)
     if any(len(b) < 2 for b in sets):
         return SMALL_SET
-    union = frozenset().union(*sets) if sets else frozenset()
-    if union != frozenset(range(1, n + 1)) or sum(len(b) for b in sets) != n + s - 1:
+    # n+s-1 elements, all in 1..n, cover 1..n exactly when n of them differ
+    if sum(map(len, sets)) != n + s - 1:
+        return COVER
+    if s and (min(map(min, sets)) < 1 or max(map(max, sets)) > n):
+        return COVER
+    masks = _masks(sets)
+    union = 0
+    for m in masks:
+        union |= m
+    if union.bit_count() != n:
         return COVER
     for i in range(s - 1):
-        if len(sets[i] & sets[i + 1]) != 1:
+        if (masks[i] & masks[i + 1]).bit_count() != 1:
             return ADJACENT_OVERLAP
-    for gap in range(2, s):
-        for i in range(s - gap):
-            if sets[i] & sets[i + gap]:
-                return NONADJACENT_OVERLAP if gap == 2 else FAR_OVERLAP
-    for i in range(s - 1):
-        (shared,) = sets[i] & sets[i + 1]
-        pick = max if i % 2 == 0 else min
-        if not pick(sets[i]) == pick(sets[i + 1]) == shared:
-            return ENDPOINT_MISMATCH
-    return None
+    return _candidate_violation(masks, s)
 
 
 def ttuple_violation(n: int, sets) -> Optional[str]:
@@ -102,7 +136,7 @@ def permutation_to_settuple(p) -> SetTuple:
             cuts.append(i)
     cuts.append(n - 1)
     sets = tuple(frozenset(p[a : b + 1]) for a, b in zip(cuts, cuts[1:]))
-    assert settuple_violation(n, sets) is None
+    _require(settuple_violation(n, sets) is None, "runs do not form a run decomposition")
     return SetTuple(n, sets)
 
 
@@ -119,7 +153,10 @@ def settuple_to_permutation(t: SetTuple) -> tuple:
             vals = vals[1:]
         out.extend(vals)
     p = tuple(out)
-    assert len(p) == t.n and count_runs(p) == len(t.sets) and p[0] < p[1]
+    _require(
+        len(p) == t.n and count_runs(p) == len(t.sets) and p[0] < p[1],
+        "laid-out blocks do not give their runs back",
+    )
     return p
 
 
@@ -174,7 +211,7 @@ def _reconstruct(n: int, tsets: tuple):
         work[lost].add(e)
     choices = tuple(choices)
     cand = tuple(frozenset(b) for b in work)
-    return settuple_violation(n, cand), unions, deleted, choices, cand
+    return _candidate_violation(_masks(cand), s), unions, deleted, choices, cand
 
 
 def reconstruct(t: TTuple) -> Optional[tuple]:
@@ -190,7 +227,7 @@ def reconstruct(t: TTuple) -> Optional[tuple]:
     if failure is not None:
         return None
     result = (choices, SetTuple(t.n, cand))
-    assert phi(choices, result[1]) == t
+    _require(phi(choices, result[1]) == t, "phi does not map the preimage back")
     return result
 
 
@@ -214,37 +251,18 @@ def reconstruct_trace(t: TTuple) -> ReconstructionTrace:
 
 
 def _mask_classify(masks, s: int) -> Optional[str]:
-    """Failure class over bitmask blocks; mirrors the frozenset route."""
-    unions = []
+    """Failure class of bitmask blocks T_1..T_s; None when a preimage exists."""
+    cand = list(masks)
     for i in range(s - 1):
         u = masks[i] | masks[i + 1]
         if not u:
             return EMPTY_UNION
-        unions.append(u)
-    cand = list(masks)
-    for i, u in enumerate(unions):
+        # e_i is the extreme of the union (see _reconstruct); put it back
         bit = 1 << (u.bit_length() - 1) if i % 2 == 0 else u & -u
         cand[i + 1 if masks[i] & bit else i] |= bit
-    for c in cand:
-        if c.bit_count() < 2:
-            return SMALL_SET
-    # cover holds automatically: insertions only duplicate surviving bits.
-    # Candidate i lies in T_{i-1} | T_i | T_{i+1} and adjacent candidates share
-    # only the recovered e_i, so only blocks two apart can overlap.
-    for i in range(s - 2):
-        if cand[i] & cand[i + 2]:
-            return NONADJACENT_OVERLAP
-    for i in range(s - 1):
-        shared = cand[i] & cand[i + 1]
-        if i % 2 == 0:
-            top = 1 << (cand[i].bit_length() - 1)
-            if shared != top or cand[i].bit_length() != cand[i + 1].bit_length():
-                return ENDPOINT_MISMATCH
-        else:
-            low = cand[i] & -cand[i]
-            if shared != low or low != cand[i + 1] & -cand[i + 1]:
-                return ENDPOINT_MISMATCH
-    return None
+    # candidate i lies in T_{i-1} | T_i | T_{i+1}, so cover holds, adjacent
+    # candidates share only the recovered element and the sizes sum to n+s-1
+    return _candidate_violation(cand, s)
 
 
 def _block_masks(n: int, s: int):
@@ -263,40 +281,37 @@ class CensusResult(NamedTuple):
     total: int
 
 
+def _census(n: int, s: int, budget: int) -> dict:
+    """Failure classes of all s**n block tuples, None counting successes."""
+    if n < 2 or s < 1:
+        raise ValueError("census needs n >= 2 and s >= 1")
+    # s**n >= 2**(n * (bits(s) - 1)), so a huge power is refused unbuilt
+    if n * (s.bit_length() - 1) >= budget.bit_length() or s**n > budget:
+        raise ValueError(f"enumeration budget exceeded: {s}^{n} > {budget}")
+    tally = dict.fromkeys((None,) + FAILURE_CLASSES, 0)
+    for masks in _block_masks(n, s):
+        tally[_mask_classify(masks, s)] += 1
+    return tally
+
+
 def image_census(n: int, s: int, budget: int = ENUMERATION_BUDGET) -> CensusResult:
     """Count tuples with a preimage among all s**n block tuples.
 
-    Asserts the exact identity successes == 2**(s-1) * P(n,s)/2 and the
+    Checks the exact identity successes == 2**(s-1) * P(n,s)/2 and the
     sandwich lower bound before returning.
     """
-    if n < 2 or s < 1:
-        raise ValueError("census needs n >= 2 and s >= 1")
+    successes = _census(n, s, budget)[None]
     total = s**n
-    if total > budget:
-        raise ValueError(f"enumeration budget exceeded: {s}^{n} = {total} > {budget}")
-    successes = 0
-    for masks in _block_masks(n, s):
-        if _mask_classify(masks, s) is None:
-            successes += 1
-    p = andre_triangle(n).value(n, s)
-    assert p % 2 == 0
-    assert successes == (p // 2) * 2 ** (s - 1)
-    assert bonferroni_bound(n, s) <= successes <= total
+    p = andre_column(n, s)[-1]
+    _require(p % 2 == 0, f"P({n},{s}) is odd")
+    _require(successes == (p // 2) * 2 ** (s - 1), f"census {successes} != 2^(s-2) P({n},{s})")
+    _require(bonferroni_bound(n, s) <= successes <= total, f"census {successes} out of bounds")
     return CensusResult(successes, total)
 
 
 def failure_census(n: int, s: int, budget: int = ENUMERATION_BUDGET) -> dict:
     """Tally of failure classes over all s**n block tuples (successes omitted)."""
-    if n < 2 or s < 1:
-        raise ValueError("census needs n >= 2 and s >= 1")
-    if s**n > budget:
-        raise ValueError(f"enumeration budget exceeded: {s}^{n} = {s**n} > {budget}")
-    out = {}
-    for masks in _block_masks(n, s):
-        c = _mask_classify(masks, s)
-        if c is not None:
-            out[c] = out.get(c, 0) + 1
-    return out
+    return {c: k for c, k in _census(n, s, budget).items() if c is not None and k}
 
 
 def bonferroni_bound(n: int, s: int) -> int:

@@ -17,8 +17,8 @@ from math import factorial
 from time import perf_counter
 
 from . import bijection, closed_form, genfun, run_counts
-from .run_counts import _require
 from .exact_algebra import (
+    _require,
     partial_fractions,
     poly_eval,
     poly_to_strings,
@@ -39,11 +39,10 @@ class UsageError(Exception):
 
 
 def _emit(args, text_lines, json_obj, csv_rows=None) -> None:
+    """Print one result; csv_rows is None only where the parser refuses csv."""
     if args.format == "json":
-        print(json.dumps(json_obj, indent=2))
+        print(json.dumps({"schema": 1, "command": args.command, **json_obj}, indent=2))
     elif args.format == "csv":
-        if csv_rows is None:
-            raise UsageError(f"{args.command} has no csv form")
         csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
     else:
         print("\n".join(text_lines))
@@ -64,8 +63,6 @@ def cmd_table(args) -> int:
         for n, row in enumerate(t.entries, start=t.n_min)
     ]
     obj = {
-        "schema": 1,
-        "command": "table",
         "n_min": str(t.n_min),
         "n_max": str(t.n_max),
         "rows": run_counts.triangle_json_rows(t),
@@ -112,8 +109,6 @@ def cmd_count(args) -> int:
         raise UsageError("--s must be >= 1")
     value = _count_value(args.n, args.s, args.method, args.budget)
     obj = {
-        "schema": 1,
-        "command": "count",
         "n": str(args.n),
         "s": str(args.s),
         "method": args.method,
@@ -128,8 +123,6 @@ def cmd_formula(args) -> int:
     f = closed_form.formula_from_pfd(s)
     display = closed_form.render_formula(f)
     obj = {
-        "schema": 1,
-        "command": "formula",
         "s": str(s),
         "validity_floor": str(f.validity_floor),
         "display": display,
@@ -144,8 +137,6 @@ def cmd_gf(args) -> int:
     u = genfun.build_us(s)[s]
     display = genfun.render_us(u)
     obj = {
-        "schema": 1,
-        "command": "gf",
         "s": str(s),
         "display": display,
         "numerator": poly_to_strings(u.ratfun.numerator),
@@ -181,8 +172,6 @@ def cmd_pfd(args) -> int:
         else:
             body += (" + " if positive else " - ") + text
     obj = {
-        "schema": 1,
-        "command": "pfd",
         "s": str(s),
         "terms": [
             {"k": str(k), "m": str(m), "c": str(c)} for k, m, c in pfe.pole_terms
@@ -194,8 +183,8 @@ def cmd_pfd(args) -> int:
 
 
 def cmd_census(args) -> int:
-    if args.n < 2:
-        raise UsageError("--n must be >= 2")
+    if not 2 <= args.n <= MAX_COUNT_N:
+        raise UsageError(f"--n must be between 2 and {MAX_COUNT_N}")
     if args.s < 1:
         raise UsageError("--s must be >= 1")
     try:
@@ -208,8 +197,6 @@ def cmd_census(args) -> int:
         f"block tuples have preimages (lower bound {bound})"
     )
     obj = {
-        "schema": 1,
-        "command": "census",
         "n": str(args.n),
         "s": str(args.s),
         "successes": str(result.successes),
@@ -266,8 +253,6 @@ def cmd_trace(args) -> int:
     else:
         lines.append(f"outcome: no preimage ({tr.failure})")
     obj = {
-        "schema": 1,
-        "command": "trace",
         "n": str(t.n),
         "blocks": [sorted(map(str, b)) for b in t.sets],
         "unions": [sorted(map(str, u)) for u in tr.unions],
@@ -304,7 +289,7 @@ def _check_triangle_sums():
 def _check_first_up():
     for n in range(2, 8):
         full = run_counts.brute_force_row(n)
-        up = run_counts.brute_force_row_first_up(n)
+        up = run_counts.brute_force_row(n, first_up=True)
         _require(tuple(2 * v for v in up) == full, f"first-run-up row {n} is not half the row")
     return "n <= 7"
 
@@ -400,7 +385,7 @@ def _check_census():
     cells = [(n, s) for n in range(2, 8) for s in range(1, 6)]
     cells += [(8, 2), (8, 3), (10, 2), (10, 3)]
     for n, s in cells:
-        bijection.image_census(n, s)  # identity and sandwich asserted inside
+        bijection.image_census(n, s)  # identity and sandwich checked inside
     return f"{len(cells)} cells"
 
 
@@ -482,8 +467,6 @@ def cmd_verify(args) -> int:
         else f"all {len(selected)} checks passed"
     )
     obj = {
-        "schema": 1,
-        "command": "verify",
         "suite": args.suite,
         "checks": entries,
         "ok": failures == 0,

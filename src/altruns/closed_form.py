@@ -16,6 +16,7 @@ from .exact_algebra import (
     ONE,
     ZERO,
     Poly,
+    _require,
     degree,
     partial_fractions,
     poly,
@@ -49,7 +50,7 @@ class PsiPolynomial:
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs_in_n", poly(self.coeffs_in_n))
-        assert degree(self.coeffs_in_n) <= self.i // 2
+        _require(degree(self.coeffs_in_n) <= self.i // 2, "psi_i has degree above floor(i/2)")
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ def formula_from_pfd(s: int, us: UsFunction = None) -> ClosedFormFormula:
         raise ValueError("levels start at s=1")
     if us is None:
         us = build_us(s)[s]
-    assert us.s == s
+    _require(us.s == s, f"u_{us.s} given for level {s}")
     pfe = partial_fractions(us.ratfun)
     groups = {i: ZERO for i in range(s)}
     for k, m, c in pfe.pole_terms:
@@ -87,7 +88,7 @@ def formula_from_pfd(s: int, us: UsFunction = None) -> ClosedFormFormula:
             raise ArithmeticError(f"pole base {k} outside 1..{s}")
         groups[i] = poly_add(groups[i], poly_scale(_binomial_in_n(m), c))
     psis = tuple(PsiPolynomial(i, s, groups[i]) for i in range(s))
-    assert psis[0].coeffs_in_n == (k_constant(s),)
+    _require(psis[0].coeffs_in_n == (k_constant(s),), f"psi_0 at s={s} is not K(s)")
     floor = max(2, degree(pfe.poly_part) + 1)
     return ClosedFormFormula(s, psis, floor)
 
@@ -135,7 +136,7 @@ def psi_from_recurrence(s: int, i_max: int) -> list:
             coeffs[j] = -(acc + sigma * carry) / i
         out = poly(coeffs)
         check = poly_sub(poly_scale(out, sigma - i), poly_scale(poly_compose(out, shift), sigma))
-        assert check == rhs, "triangular solve failed"
+        _require(check == rhs, "triangular solve failed")
         return out
 
     return [PsiPolynomial(i, s, get(i, s)) for i in range(i_max + 1)]
@@ -190,7 +191,7 @@ def _n_poly_text(ints) -> tuple:
     entirely when every coefficient is negative.
     """
     terms = [(i, c) for i, c in enumerate(ints) if c]
-    assert terms
+    _require(terms, "zero polynomial has no text")
     negated = all(c < 0 for _, c in terms)
     if negated:
         terms = [(i, -c) for i, c in terms]

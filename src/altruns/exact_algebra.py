@@ -20,6 +20,12 @@ ZERO: Poly = ()
 ONE: Poly = (Fraction(1),)
 
 
+def _require(cond, msg: str) -> None:
+    """An invariant check that holds under ``python -O`` too."""
+    if not cond:
+        raise ArithmeticError(msg)
+
+
 def poly(coeffs) -> Poly:
     """Normalize an iterable of numbers into a Poly (strip trailing zeros)."""
     out = [Fraction(c) for c in coeffs]
@@ -109,21 +115,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return poly_scale(a, 1 / a[-1])
 
 
-def poly_arith(a, b, op: str):
-    """Single dispatch point for the polynomial ring operations."""
-    if op == "add":
-        return poly_add(a, b)
-    if op == "sub":
-        return poly_sub(a, b)
-    if op == "mul":
-        return poly_mul(a, b)
-    if op == "derivative":
-        return poly_derivative(a)
-    if op == "divrem":
-        return poly_divrem(a, b)
-    raise ValueError(f"unknown op {op!r}")
-
-
 def poly_to_strings(p: Poly) -> list:
     """Coefficients as exact decimal strings, constant term first."""
     return [str(c) for c in p]
@@ -186,7 +177,7 @@ class RationalFunction:
 def _deflate(p: Poly, k: int) -> Poly:
     # exact division by (1 - k*x); caller guarantees p(1/k) == 0
     q, r = poly_divrem(p, poly((1, -k)))
-    assert not r
+    _require(not r, "deflation by a factor that does not divide")
     return q
 
 
@@ -281,7 +272,7 @@ def partial_fractions(f: RationalFunction) -> PartialFractionExpansion:
             if c:
                 terms.append((k, m, c))
             r = _deflate(poly_sub(r, poly_scale(b, c)), k)
-    assert not r, "peeling must exhaust the proper part"
+    _require(not r, "peeling must exhaust the proper part")
     return PartialFractionExpansion(tuple(terms), poly_part)
 
 
@@ -322,7 +313,7 @@ def _variations(signs) -> int:
 def _squarefree_part(p: Poly) -> Poly:
     g = poly_gcd(p, poly_derivative(p))
     q, r = poly_divrem(p, g)
-    assert not r
+    _require(not r, "the gcd with the derivative does not divide")
     return q
 
 

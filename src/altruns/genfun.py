@@ -17,6 +17,7 @@ from .exact_algebra import (
     ONE,
     ZERO,
     RationalFunction,
+    _require,
     degree,
     denominator_degree,
     denominator_expand,
@@ -46,7 +47,7 @@ def delta(s: int):
     if s < 1:
         raise ValueError("levels start at s=1")
     fac = factored_denominator({s - i: epsilon(i) for i in range(s)})
-    assert denominator_degree(fac) == _denominator_degree(s)
+    _require(denominator_degree(fac) == _denominator_degree(s), f"delta({s}) has the wrong degree")
     return fac
 
 
@@ -193,8 +194,8 @@ def ratio_identities_check(s: int) -> RatioReport:
         raise ArithmeticError(f"second denominator ratio broke at s={s}")
 
     report = RatioReport(s, degree(q1), degree(q2))
-    assert report.first_degree == (s - 1) // 2
-    assert report.second_degree == s - 1
+    _require(report.first_degree == (s - 1) // 2, f"first ratio at s={s} has the wrong degree")
+    _require(report.second_degree == s - 1, f"second ratio at s={s} has the wrong degree")
     return report
 
 
@@ -257,7 +258,7 @@ def render_us(u: UsFunction) -> str:
     denominator factors by decreasing k, e.g. 2x^4(5-6x) / ((1-3x)(1-2x)(1-x)^2).
     """
     num = u.ratfun.numerator
-    assert num and all(c.denominator == 1 for c in num)
+    _require(num and all(c.denominator == 1 for c in num), f"u_{u.s} has no integer numerator")
     val = next(i for i, c in enumerate(num) if c)
     ints = [int(c) for c in num[val:]]
     content = 0

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import factorial
 
-from .exact_algebra import Poly, poly, poly_add, poly_derivative, poly_mul
+from .exact_algebra import Poly, _require, poly, poly_add, poly_derivative, poly_mul
 
 BRUTE_FORCE_MAX_N = 10  # 10! permutations is the practical enumeration limit
 
@@ -40,32 +40,21 @@ def count_runs(p) -> int:
     return _run_count(p)
 
 
-def brute_force_row(n: int) -> tuple:
-    """Row n of the triangle by full enumeration. Only for 2 <= n <= 10."""
+def brute_force_row(n: int, first_up: bool = False) -> tuple:
+    """Row n of the triangle by full enumeration. Only for 2 <= n <= 10.
+
+    With first_up, only permutations whose first run ascends are counted;
+    each count is then exactly half the full row.
+    """
     if not 2 <= n <= BRUTE_FORCE_MAX_N:
         raise ValueError(f"brute force supports 2 <= n <= {BRUTE_FORCE_MAX_N}")
     row = [0] * (n - 1)
-    for p in permutations(range(1, n + 1)):
+    perms = permutations(range(1, n + 1))
+    if first_up:
+        perms = (p for p in perms if p[0] < p[1])
+    for p in perms:
         row[_run_count(p) - 1] += 1
     return tuple(row)
-
-
-def brute_force_row_first_up(n: int) -> tuple:
-    """Like :func:`brute_force_row`, restricted to permutations whose first
-    run ascends. Each count is exactly half the full row."""
-    if not 2 <= n <= BRUTE_FORCE_MAX_N:
-        raise ValueError(f"brute force supports 2 <= n <= {BRUTE_FORCE_MAX_N}")
-    row = [0] * (n - 1)
-    for p in permutations(range(1, n + 1)):
-        if p[0] < p[1]:
-            row[_run_count(p) - 1] += 1
-    return tuple(row)
-
-
-def _require(cond, msg: str) -> None:
-    """An invariant check that holds under ``python -O`` too."""
-    if not cond:
-        raise ArithmeticError(msg)
 
 
 def _andre_step(m: int, prev: tuple, width: int) -> tuple:

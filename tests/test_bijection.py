@@ -2,8 +2,9 @@ import tracemalloc
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from altruns import bijection
 from altruns.bijection import (
     EMPTY_UNION,
     ENDPOINT_MISMATCH,
@@ -70,6 +71,83 @@ def test_settuple_to_permutation_rejects():
         settuple_to_permutation(SetTuple(4, (fs(1, 3), fs(2, 3, 4))))
 
 
+def _settuple_violation_by_sets(n, sets):
+    """Reference for the bitmask check: the run-decomposition conditions over
+    frozensets, overlaps of blocks three or more apart included."""
+    s = len(sets)
+    if any(len(b) < 2 for b in sets):
+        return SMALL_SET
+    union = frozenset().union(*sets) if sets else frozenset()
+    if union != frozenset(range(1, n + 1)) or sum(len(b) for b in sets) != n + s - 1:
+        return "cover"
+    for i in range(s - 1):
+        if len(sets[i] & sets[i + 1]) != 1:
+            return "adjacent_overlap"
+    for gap in range(2, s):
+        for i in range(s - gap):
+            if sets[i] & sets[i + gap]:
+                return NONADJACENT_OVERLAP if gap == 2 else "far_overlap"
+    for i in range(s - 1):
+        (shared,) = sets[i] & sets[i + 1]
+        pick = max if i % 2 == 0 else min
+        if not pick(sets[i]) == pick(sets[i + 1]) == shared:
+            return ENDPOINT_MISMATCH
+    return None
+
+
+@st.composite
+def near_decompositions(draw):
+    """Runs of a permutation as blocks, then up to three small edits."""
+    n = draw(st.integers(2, 9))
+    p = draw(st.permutations(tuple(range(1, n + 1))))
+    if p[0] > p[1]:
+        p = tuple(n + 1 - v for v in p)
+    blocks = [set(b) for b in permutation_to_settuple(p).sets]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(blocks) - 1))
+        j = draw(st.integers(0, len(blocks) - 1))
+        edit = draw(st.sampled_from(("add", "drop", "move", "swap", "split", "spread", "reverse")))
+        if edit == "add":
+            blocks[i].add(draw(st.integers(-1, n + 2)))
+        elif edit == "drop" and blocks[i]:
+            blocks[i].discard(draw(st.sampled_from(sorted(blocks[i]))))
+        elif edit == "move" and blocks[i]:
+            v = draw(st.sampled_from(sorted(blocks[i])))
+            blocks[i].discard(v)
+            blocks[j].add(v)
+        elif edit == "swap":
+            blocks[i], blocks[j] = blocks[j], blocks[i]
+        elif edit == "split" and len(blocks[i]) >= 2:
+            cut = draw(st.integers(1, len(blocks[i]) - 1))
+            values = sorted(blocks[i])
+            blocks[i : i + 1] = [set(values[:cut]), set(values[cut - 1 :])]
+        elif edit == "spread" and i + 2 < len(blocks) and blocks[i] & blocks[i + 1]:
+            # the junction element reaches one block further; the next
+            # junction element stays only in block i+2, so cover still holds
+            e = min(blocks[i] & blocks[i + 1])
+            blocks[i + 1] -= blocks[i + 2] - {e}
+            blocks[i + 2].add(e)
+        elif edit == "reverse":
+            blocks.reverse()
+    n += draw(st.sampled_from((0, 0, 0, -1, 1)))
+    return n, tuple(frozenset(b) for b in blocks)
+
+
+@settings(max_examples=300)
+@given(
+    st.one_of(
+        near_decompositions(),
+        st.tuples(
+            st.integers(0, 8),
+            st.lists(st.frozensets(st.integers(-1, 9), max_size=5), max_size=6).map(tuple),
+        ),
+    )
+)
+def test_settuple_violation_matches_set_definition(case):
+    n, sets = case
+    assert settuple_violation(n, sets) == _settuple_violation_by_sets(n, sets)
+
+
 def test_settuple_violation_order():
     # adjacent blocks sharing nothing (element totals and cover still fine)
     assert settuple_violation(6, (fs(1, 2, 3), fs(4, 5), fs(4, 5, 6))) == "adjacent_overlap"
@@ -78,6 +156,21 @@ def test_settuple_violation_order():
     assert settuple_violation(5, bad) == NONADJACENT_OVERLAP
     # element counts right but one value repeated, another missing
     assert settuple_violation(4, (fs(1, 2), fs(2, 5))) == "cover"
+
+
+@pytest.mark.parametrize(
+    "n, sets, expected",
+    [
+        (5, (fs(2, 5), fs(3, 5), fs(1, 3, 4)), ENDPOINT_MISMATCH),  # min junction, right side
+        (5, (fs(2, 5), fs(1, 3, 5), fs(3, 4)), ENDPOINT_MISMATCH),  # min junction, left side
+        (4, (fs(1, 3), fs(2, 3, 4)), ENDPOINT_MISMATCH),  # max junction, right side
+        (5, (fs(1, 4, 5), fs(2, 3, 4)), ENDPOINT_MISMATCH),  # max junction, left side
+        (5, (fs(1, 4), fs(2, 4), fs(2, 5), fs(3, 5)), None),  # 1 4 2 5 3
+    ],
+)
+def test_settuple_violation_endpoints(n, sets, expected):
+    assert _settuple_violation_by_sets(n, sets) == expected
+    assert settuple_violation(n, sets) == expected
 
 
 def test_phi_examples():
@@ -200,6 +293,9 @@ def test_mask_classifier_matches_sets(n, data):
     t = TTuple(n, tuple(frozenset(b) for b in blocks))
     expected = classify_failure(t)
     assert _mask_classify(masks, s) == expected
+    cand = reconstruct_trace(t).candidate
+    if cand is not None:
+        assert expected == _settuple_violation_by_sets(n, cand.sets)
 
 
 def test_image_census_cells():
@@ -217,6 +313,34 @@ def test_image_census_budget():
         image_census(8, 3, budget=100)
     with pytest.raises(ValueError):
         image_census(1, 1)
+
+
+def test_census_budget_is_checked_before_the_power():
+    tracemalloc.start()
+    try:
+        for census in (image_census, failure_census):
+            with pytest.raises(ValueError, match="budget") as err:
+                census(16_000_000, 3)
+            assert str(err.value) == "enumeration budget exceeded: 3^16000000 > 16777216"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # 3**16000000 alone takes about 3 MB
+    assert image_census(3, 2, budget=8) == CensusResult(4, 8)
+    with pytest.raises(ValueError, match="budget"):
+        image_census(3, 2, budget=7)
+    assert image_census(5, 1, budget=1) == CensusResult(1, 1)
+    with pytest.raises(ValueError, match="budget"):
+        image_census(5, 1, budget=0)
+
+
+def test_image_census_reads_one_column(monkeypatch):
+    def whole_triangle(n_max):
+        raise AssertionError(f"built the triangle up to row {n_max}")
+
+    monkeypatch.setattr(bijection, "andre_triangle", whole_triangle)
+    assert image_census(2000, 1) == CensusResult(1, 1)
+    assert image_census(6, 3) == CensusResult(472, 729)
 
 
 def test_failure_census_frozen_cells():

@@ -157,6 +157,13 @@ def test_census_budget(capsys):
     assert code == 2 and "budget" in err
 
 
+def test_census_n_is_capped(capsys):
+    for n in ("1001", "2000", "16000000"):
+        code, out, err = run(capsys, "census", "--n", n, "--s", "3")
+        assert (code, out) == (2, "")
+        assert "--n must be between 2 and 1000" in err
+
+
 def test_trace_success(capsys):
     code, out, _ = run(capsys, "trace", "--blocks", "1;2,3")
     assert code == 0
@@ -280,6 +287,53 @@ def test_count_output_golden(capsys, n, s):
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == expected, fmt
 
 
+# sha256 (first 16 hex digits) of stdout in text, json and csv, recorded
+# before the JSON header moved into _emit; None where the parser refuses the
+# format (exit 2, nothing on stdout)
+OUTPUT_GOLDEN = {
+    ('table', '--n-max', '2'): ('64fd64d42d93a6b8', '287ebe2c320f908d', '11fcc94bbfe9b5ba'),
+    ('table', '--n-max', '10'): ('e9705f29cdc9a87e', '89370bc4af1ce221', '0736707de480997c'),
+    ('table', '--n-max', '60'): ('71c368e37799eccd', '1ccad1d65ab901cc', 'dcb46459c4329040'),
+    ('table', '--n-max', '200'): ('e394eabacbd311a3', 'f4f23d02c5cf40c5', 'ef2e1089f5910c1c'),
+    ('formula', '--s', '1'): ('247fbab844e6343c', 'bfb05bbfeea34e11', None),
+    ('formula', '--s', '2'): ('d5a5791cd1c5a6f2', '7fcb18fa92d5b1ea', None),
+    ('formula', '--s', '5'): ('8811885ad695402e', '3044d1a96ad4d21d', None),
+    ('formula', '--s', '12'): ('d95b30ff704f41c9', '67b9d5e7591eeb41', None),
+    ('gf', '--s', '1'): ('7aa6b5bb4ee2d15e', '47e4b01f0d0089bc', None),
+    ('gf', '--s', '3'): ('4e6cf9d4c6ded586', '63e271a6b831bbf9', None),
+    ('gf', '--s', '12'): ('b1f19ee2b3f29455', '74842feb3d1b8fc2', None),
+    ('pfd', '--s', '1'): ('2ce18ff3201090d7', 'de86e8f9441eae92', None),
+    ('pfd', '--s', '4'): ('7ae310b6e131417e', 'e3ea7c331f27142a', None),
+    ('pfd', '--s', '12'): ('dfecff1fa1523445', 'b94c436b3db3432c', None),
+    ('census', '--n', '2', '--s', '1'): ('1bf066737dffe69e', 'd0d7ab8bf9b003fc', '73f6b9aa7813ba91'),
+    ('census', '--n', '5', '--s', '4'): ('5778fb6c67cb358d', '8e1cda9492f26de0', 'f4b7dff99e659417'),
+    ('census', '--n', '6', '--s', '3'): ('007771505b720680', '7ac0fc77f7368fa1', '6dd7d55dd059be5c'),
+    ('census', '--n', '4', '--s', '5'): ('3372e303114d4b5f', '3896d6bad89febfa', '5095c6efce6e2377'),
+    ('census', '--n', '8', '--s', '3'): ('4c9166f3776b5c8d', 'd07d524b8a5fe61f', 'f316456501130a4d'),
+    ('trace', '--blocks', '1;2,3'): ('869c53ff444beca8', '8355f3c11956f8c0', None),
+    ('trace', '--blocks', '1,2,3;;4,5,6'): ('1d5f16f2b8272b77', 'e52d1a99ab0e0ede', None),
+    ('trace', '--blocks', '1,2;;;3,4'): ('af35739b9d758a43', '468c731c806abb1e', None),
+    ('trace', '--blocks', '1,3;2;4'): ('93a2dd61ba049e5b', '9657d53dc6cc39b1', None),
+    ('trace', '--blocks', '1,2,3'): ('7051a79426c409d9', 'ed74e93db5f2b8e8', None),
+    ('trace', '--blocks', '1,3;;2;4,5'): ('21539d43f56272ec', 'dbdb1726da367773', None),
+    ('trace', '--blocks', '1,2,3;'): ('b694e19c41025a2e', '7fba04a2fa5c4540', None),
+    ('trace', '--blocks', '2,4;1,3,5;6'): ('96ddf934c15d9047', 'bcff6350a4ee6020', None),
+}
+
+
+@pytest.mark.parametrize(
+    "argv", sorted(OUTPUT_GOLDEN), ids=lambda argv: f"{argv[0]}:{','.join(argv[2::2])}"
+)
+def test_output_golden(capsys, argv):
+    for fmt, expected in zip(("text", "json", "csv"), OUTPUT_GOLDEN[argv]):
+        code, out, _ = run(capsys, *argv, "--format", fmt)
+        if expected is None:
+            assert (code, out) == (2, ""), fmt
+        else:
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest()[:16] == expected, fmt
+
+
 VERIFY_WITH_WRONG_BRUTE_FORCE = """
 import sys
 from altruns import cli, run_counts
@@ -290,15 +344,32 @@ sys.exit(cli.main(["verify", "--suite", "triangle"]))
 """
 
 
+VERIFY_WITH_WRONG_CENSUS = """
+import sys
+from altruns import bijection, cli
+assert sys.flags.optimize, "must run under python -O"
+right = bijection._mask_classify
+def wrong(masks, s):  # never reports an endpoint mismatch
+    c = right(masks, s)
+    return None if c == bijection.ENDPOINT_MISMATCH else c
+bijection._mask_classify = wrong
+sys.exit(cli.main(["verify", "--suite", "bijection"]))
+"""
+
+
 def test_verify_fails_under_python_O():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", VERIFY_WITH_WRONG_BRUTE_FORCE],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 1, proc.stdout + proc.stderr
-    assert "[FAIL] triangle: brute force matches the recurrence" in proc.stdout
+    for script, failed in (
+        (VERIFY_WITH_WRONG_BRUTE_FORCE, "[FAIL] triangle: brute force matches the recurrence"),
+        (VERIFY_WITH_WRONG_CENSUS, "[FAIL] bijection: census identity and sandwich"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert failed in proc.stdout

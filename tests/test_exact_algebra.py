@@ -16,7 +16,6 @@ from altruns.exact_algebra import (
     pole_term_coefficient,
     poly,
     poly_add,
-    poly_arith,
     poly_compose,
     poly_derivative,
     poly_divrem,
@@ -77,16 +76,6 @@ def test_divrem_reassembles(a, b):
     q, r = poly_divrem(a, b)
     assert poly_add(poly_mul(q, b), r) == a
     assert degree(r) < degree(b)
-
-
-def test_poly_arith_dispatch():
-    assert poly_arith((1, 1), (1, -1), "add") == (2,)
-    assert poly_arith((1, 1), (1, -1), "sub") == (0, 2)
-    assert poly_arith((1, 1), (1, -1), "mul") == (1, 0, -1)
-    assert poly_arith((1, 0, 3), None, "derivative") == (0, 6)
-    assert poly_arith((1, 0, -1), (1, 1), "divrem") == ((1, -1), ZERO)
-    with pytest.raises(ValueError):
-        poly_arith((1,), (1,), "pow")
 
 
 def test_poly_gcd():

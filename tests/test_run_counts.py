@@ -13,7 +13,6 @@ from altruns.run_counts import (
     andre_row,
     andre_triangle,
     brute_force_row,
-    brute_force_row_first_up,
     count_runs,
     log_concavity_check,
     run_polynomial,
@@ -78,7 +77,7 @@ def test_brute_force_cap():
 
 def test_first_up_halves():
     for n in range(2, 8):
-        up = brute_force_row_first_up(n)
+        up = brute_force_row(n, first_up=True)
         assert tuple(2 * v for v in up) == brute_force_row(n)
 
 
