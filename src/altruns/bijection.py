@@ -192,26 +192,45 @@ class ReconstructionTrace(NamedTuple):
     preimage: Optional[tuple]
 
 
+def _recover(masks, s: int):
+    """Candidate masks: bitmask blocks T_1..T_s with each shared element put
+    back, or None when an adjacent union is empty.
+
+    The shared element e_i survives in exactly one of T_i, T_{i+1}, so it is
+    still the extreme of their union (max at odd junctions, min at even);
+    it goes back into the neighbour that lost it.
+    """
+    cand = list(masks)
+    for i in range(s - 1):
+        left = masks[i]
+        u = left | masks[i + 1]
+        if not u:
+            return None
+        bit = u & -u if i & 1 else 1 << (u.bit_length() - 1)
+        cand[i + 1 if left & bit else i] |= bit
+    return cand
+
+
+def _elements(mask: int) -> frozenset:
+    """Inverse of _masks for one block."""
+    return frozenset(v for v, bit in enumerate(reversed(bin(mask))) if bit == "1")
+
+
 def _reconstruct(n: int, tsets: tuple):
     """(failure, unions, deleted elements, choices, candidate sets)."""
     s = len(tsets)
     unions = tuple(tsets[i] | tsets[i + 1] for i in range(s - 1))
-    if any(not u for u in unions):
+    masks = _masks(tsets)
+    cand = _recover(masks, s)
+    if cand is None:
         return EMPTY_UNION, unions, (), (), None
-    # the shared element survives in exactly one neighbor, so it is still
-    # the extreme element of the adjacent union
-    deleted = tuple(
-        max(unions[i]) if i % 2 == 0 else min(unions[i]) for i in range(s - 1)
-    )
-    choices = []
-    work = [set(b) for b in tsets]
-    for i, e in enumerate(deleted):
-        lost = i + 1 if e in tsets[i] else i
-        choices.append(lost + 1)
-        work[lost].add(e)
-    choices = tuple(choices)
-    cand = tuple(frozenset(b) for b in work)
-    return _candidate_violation(_masks(cand), s), unions, deleted, choices, cand
+    # candidate i holds T_i and at most e_{i-1}, e_i, where e_j lies in
+    # T_j | T_{j+1}; the T are disjoint, so candidates i, i+1 share only e_i
+    bits = [cand[i] & cand[i + 1] for i in range(s - 1)]
+    deleted = tuple(bit.bit_length() - 1 for bit in bits)
+    # h_i names the block that lost e_i: block i+1 when T_i still holds it
+    choices = tuple(i + 2 if masks[i] & bit else i + 1 for i, bit in enumerate(bits))
+    return _candidate_violation(cand, s), unions, deleted, choices, tuple(map(_elements, cand))
 
 
 def reconstruct(t: TTuple) -> Optional[tuple]:
@@ -252,14 +271,9 @@ def reconstruct_trace(t: TTuple) -> ReconstructionTrace:
 
 def _mask_classify(masks, s: int) -> Optional[str]:
     """Failure class of bitmask blocks T_1..T_s; None when a preimage exists."""
-    cand = list(masks)
-    for i in range(s - 1):
-        u = masks[i] | masks[i + 1]
-        if not u:
-            return EMPTY_UNION
-        # e_i is the extreme of the union (see _reconstruct); put it back
-        bit = 1 << (u.bit_length() - 1) if i % 2 == 0 else u & -u
-        cand[i + 1 if masks[i] & bit else i] |= bit
+    cand = _recover(masks, s)
+    if cand is None:
+        return EMPTY_UNION
     # candidate i lies in T_{i-1} | T_i | T_{i+1}, so cover holds, adjacent
     # candidates share only the recovered element and the sizes sum to n+s-1
     return _candidate_violation(cand, s)

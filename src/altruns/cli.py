@@ -1,8 +1,9 @@
 """Command line interface.
 
 Subcommands: table, count, formula, gf, pfd, census, trace, verify. Formats:
-text (default), json (top-level "schema": 1, all integers as decimal strings
-so nothing overflows a consumer), csv without headers where rows are natural.
+text (default), json (top-level "schema": 1, every integer and fraction as a
+decimal string so no consumer rounds it), csv without headers where rows are
+natural. Each command builds one record of plain values; _emit alone encodes it.
 Exit codes: 0 success, 1 a verification suite failed, 2 usage error.
 """
 from __future__ import annotations
@@ -21,7 +22,6 @@ from .exact_algebra import (
     _require,
     partial_fractions,
     poly_eval,
-    poly_to_strings,
     series_coefficients,
     sturm_real_root_audit,
 )
@@ -38,10 +38,27 @@ class UsageError(Exception):
     """Bad argument values; reported on stderr with exit code 2."""
 
 
-def _emit(args, text_lines, json_obj, csv_rows=None) -> None:
-    """Print one result; csv_rows is None only where the parser refuses csv."""
+def _json_ready(value):
+    """The JSON policy: ints and Fractions become decimal strings, so no
+    consumer rounds them; bools, None and strings pass through."""
+    if value is None or isinstance(value, (bool, str)):
+        return value
+    if isinstance(value, (int, Fraction)):
+        return str(value)
+    if isinstance(value, dict):
+        return {k: _json_ready(v) for k, v in value.items()}
+    return [_json_ready(v) for v in value]
+
+
+def _emit(args, text_lines, record, csv_rows=None) -> None:
+    """Print one result in the requested format, building only that one.
+
+    text_lines and csv_rows may be lazy iterables; csv_rows is None only
+    where the parser refuses csv, and the csv module writes numbers as str().
+    """
     if args.format == "json":
-        print(json.dumps({"schema": 1, "command": args.command, **json_obj}, indent=2))
+        obj = {"schema": 1, "command": args.command, **_json_ready(record)}
+        print(json.dumps(obj, indent=2))
     elif args.format == "csv":
         csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows)
     else:
@@ -58,16 +75,10 @@ def cmd_table(args) -> int:
     if not 2 <= args.n_max <= MAX_TABLE_N:
         raise UsageError(f"--n-max must be between 2 and {MAX_TABLE_N}")
     t = run_counts.andre_triangle(args.n_max)
-    text = [
-        f"n={n}: " + " ".join(str(v) for v in row)
-        for n, row in enumerate(t.entries, start=t.n_min)
-    ]
-    obj = {
-        "n_min": str(t.n_min),
-        "n_max": str(t.n_max),
-        "rows": run_counts.triangle_json_rows(t),
-    }
-    _emit(args, text, obj, run_counts.triangle_csv_rows(t))
+    rows = tuple(enumerate(t.entries, start=t.n_min))
+    text = (f"n={n}: " + " ".join(map(str, row)) for n, row in rows)
+    csv_rows = ((n, s, v) for n, row in rows for s, v in enumerate(row, start=1))
+    _emit(args, text, {"n_min": t.n_min, "n_max": t.n_max, "rows": t.entries}, csv_rows)
     return 0
 
 
@@ -108,13 +119,8 @@ def cmd_count(args) -> int:
     if args.s < 1:
         raise UsageError("--s must be >= 1")
     value = _count_value(args.n, args.s, args.method, args.budget)
-    obj = {
-        "n": str(args.n),
-        "s": str(args.s),
-        "method": args.method,
-        "value": str(value),
-    }
-    _emit(args, [str(value)], obj, [(str(args.n), str(args.s), str(value))])
+    record = {"n": args.n, "s": args.s, "method": args.method, "value": value}
+    _emit(args, [str(value)], record, [(args.n, args.s, value)])
     return 0
 
 
@@ -122,13 +128,13 @@ def cmd_formula(args) -> int:
     s = _level_arg(args.s)
     f = closed_form.formula_from_pfd(s)
     display = closed_form.render_formula(f)
-    obj = {
-        "s": str(s),
-        "validity_floor": str(f.validity_floor),
+    record = {
+        "s": s,
+        "validity_floor": f.validity_floor,
         "display": display,
-        "terms": closed_form.formula_terms_json(f),
+        "terms": [{"base": s - p.i, "psi": p.coeffs_in_n} for p in f.psi],
     }
-    _emit(args, [display], obj)
+    _emit(args, [display], record)
     return 0
 
 
@@ -136,49 +142,37 @@ def cmd_gf(args) -> int:
     s = _level_arg(args.s)
     u = genfun.build_us(s)[s]
     display = genfun.render_us(u)
-    obj = {
-        "s": str(s),
+    record = {
+        "s": s,
         "display": display,
-        "numerator": poly_to_strings(u.ratfun.numerator),
-        "denominator": [[str(k), str(e)] for k, e in u.ratfun.denominator],
+        "numerator": u.ratfun.numerator,
+        "denominator": u.ratfun.denominator,
     }
-    _emit(args, [f"u_{s} = {display}"], obj)
+    _emit(args, [f"u_{s} = {display}"], record)
     return 0
 
 
 def _pfd_term_text(k: int, m: int, c) -> str:
     mag = abs(c)
     head = f"({mag})" if mag.denominator != 1 else str(mag)
-    tail = f"(1-{'' if k == 1 else k}x)" + (f"^{m}" if m > 1 else "")
-    return f"{head}/{tail}"
+    return f"{head}/{genfun.factor_text(k, m)}"
 
 
 def cmd_pfd(args) -> int:
     s = _level_arg(args.s)
     u = genfun.build_us(s)[s]
     pfe = partial_fractions(u.ratfun)
-    pieces = [(c > 0, _pfd_term_text(k, m, c)) for k, m, c in pfe.pole_terms]
+    pieces = [(c < 0, _pfd_term_text(k, m, c)) for k, m, c in pfe.pole_terms]
     for i, c in enumerate(pfe.poly_part):
-        if not c:
-            continue
-        mag = abs(c)
-        power = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-        head = "" if mag == 1 and power else str(mag)
-        pieces.append((c > 0, head + power))
-    body = ""
-    for idx, (positive, text) in enumerate(pieces):
-        if idx == 0:
-            body = ("" if positive else "-") + text
-        else:
-            body += (" + " if positive else " - ") + text
-    obj = {
-        "s": str(s),
-        "terms": [
-            {"k": str(k), "m": str(m), "c": str(c)} for k, m, c in pfe.pole_terms
-        ],
-        "poly_part": poly_to_strings(pfe.poly_part),
+        if c:
+            pieces.append((c < 0, genfun.monomial_text(abs(c), i)))
+    body = closed_form.signed_sum(pieces)
+    record = {
+        "s": s,
+        "terms": [{"k": k, "m": m, "c": c} for k, m, c in pfe.pole_terms],
+        "poly_part": pfe.poly_part,
     }
-    _emit(args, [f"u_{s} = {body}"], obj)
+    _emit(args, [f"u_{s} = {body}"], record)
     return 0
 
 
@@ -196,15 +190,14 @@ def cmd_census(args) -> int:
         f"census n={args.n} s={args.s}: {result.successes} of {result.total} "
         f"block tuples have preimages (lower bound {bound})"
     )
-    obj = {
-        "n": str(args.n),
-        "s": str(args.s),
-        "successes": str(result.successes),
-        "total": str(result.total),
-        "bonferroni_bound": str(bound),
+    record = {
+        "n": args.n,
+        "s": args.s,
+        "successes": result.successes,
+        "total": result.total,
+        "bonferroni_bound": bound,
     }
-    row = (str(args.n), str(args.s), str(result.successes), str(result.total), str(bound))
-    _emit(args, [text], obj, [row])
+    _emit(args, [text], record, [tuple(record.values())])
     return 0
 
 
@@ -252,19 +245,17 @@ def cmd_trace(args) -> int:
         lines.append("outcome: preimage found")
     else:
         lines.append(f"outcome: no preimage ({tr.failure})")
-    obj = {
-        "n": str(t.n),
-        "blocks": [sorted(map(str, b)) for b in t.sets],
-        "unions": [sorted(map(str, u)) for u in tr.unions],
-        "deleted": [str(e) for e in tr.deleted],
-        "choices": [str(c) for c in tr.choices],
-        "candidate": None
-        if tr.candidate is None
-        else [sorted(map(str, b)) for b in tr.candidate.sets],
+    record = {
+        "n": t.n,
+        "blocks": [sorted(b) for b in t.sets],
+        "unions": [sorted(u) for u in tr.unions],
+        "deleted": tr.deleted,
+        "choices": tr.choices,
+        "candidate": None if tr.candidate is None else [sorted(b) for b in tr.candidate.sets],
         "failure": tr.failure,
         "preimage_exists": tr.failure is None,
     }
-    _emit(args, lines, obj)
+    _emit(args, lines, record)
     return 0
 
 
@@ -434,12 +425,10 @@ CHECKS = (
 
 
 def cmd_verify(args) -> int:
-    selected = [c for c in CHECKS if args.suite in ("all", c[0])]
-    text = []
-    rows = []
     entries = []
-    failures = 0
-    for suite, name, fn in selected:
+    for suite, name, fn in CHECKS:
+        if args.suite not in ("all", suite):
+            continue
         start = perf_counter()
         try:
             detail = fn()
@@ -447,32 +436,20 @@ def cmd_verify(args) -> int:
         except Exception as e:  # a failed invariant, whatever raised it
             detail = repr(e)
             ok = False
-            failures += 1
-        seconds = perf_counter() - start
-        status = "PASS" if ok else "FAIL"
-        text.append(f"[{status}] {suite}: {name} ({seconds:.2f}s) {detail}")
-        rows.append((suite, name, status.lower(), f"{seconds:.3f}"))
-        entries.append(
-            {
-                "suite": suite,
-                "name": name,
-                "ok": ok,
-                "seconds": f"{seconds:.3f}",
-                "detail": detail,
-            }
-        )
-    text.append(
-        f"{len(selected) - failures}/{len(selected)} checks passed"
-        if failures
-        else f"all {len(selected)} checks passed"
-    )
-    obj = {
-        "suite": args.suite,
-        "checks": entries,
-        "ok": failures == 0,
-    }
-    _emit(args, text, obj, rows)
-    return 1 if failures else 0
+        seconds = f"{perf_counter() - start:.3f}"
+        entries.append({"suite": suite, "name": name, "ok": ok, "seconds": seconds, "detail": detail})
+    passed = sum(e["ok"] for e in entries)
+    ok = passed == len(entries)
+    # text shows the three-decimal seconds of json and csv to two decimals
+    text = [
+        f"[{'PASS' if e['ok'] else 'FAIL'}] {e['suite']}: {e['name']} "
+        f"({float(e['seconds']):.2f}s) {e['detail']}"
+        for e in entries
+    ]
+    text.append(f"all {passed} checks passed" if ok else f"{passed}/{len(entries)} checks passed")
+    rows = [(e["suite"], e["name"], "pass" if e["ok"] else "fail", e["seconds"]) for e in entries]
+    _emit(args, text, {"suite": args.suite, "checks": entries, "ok": ok}, rows)
+    return 0 if ok else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -239,7 +239,7 @@ def _base_power_text(base: int, scale: Fraction) -> str:
 
 
 def _term_text(coeffs: Poly, base: int) -> tuple:
-    """One rendered formula term; returns (sign, text) with text unsigned."""
+    """One rendered formula term; returns (negative, text) with text unsigned."""
     lcm = 1
     for c in coeffs:
         lcm = lcm * c.denominator // gcd(lcm, c.denominator)
@@ -250,40 +250,32 @@ def _term_text(coeffs: Poly, base: int) -> tuple:
             text = f"({text})"
         if lcm > 1:
             text = f"{text}/{lcm}"
-        return (-1 if negated else 1), text
+        return negated, text
     content = 0
     for c in ints:
         content = gcd(content, abs(c))
     reduced = [c // content for c in ints]
     scale = Fraction(content, lcm)
     negated, ptext = _n_poly_text(reduced)
-    sign = -1 if negated else 1
     power = _base_power_text(base, scale)
     if reduced in ([1], [-1]):
-        return sign, power
-    return sign, f"({ptext})*{power}"
+        return negated, power
+    return negated, f"({ptext})*{power}"
+
+
+def signed_sum(pieces) -> str:
+    """Join (negative, unsigned text) pairs as a - b + c."""
+    body = ""
+    for idx, (negative, text) in enumerate(pieces):
+        if idx == 0:
+            body = ("-" if negative else "") + text
+        else:
+            body += (" - " if negative else " + ") + text
+    return body
 
 
 def render_formula(f: ClosedFormFormula) -> str:
     """One-line display, e.g.
     P(n,4) = 4^(n-1) - 3^n + (6-n)*2^(n-1) + (2n-7)  [n >= 2]."""
-    pieces = []
-    for p in f.psi:
-        if not p.coeffs_in_n:
-            continue
-        pieces.append(_term_text(p.coeffs_in_n, f.s - p.i))
-    body = ""
-    for idx, (sign, text) in enumerate(pieces):
-        if idx == 0:
-            body = ("-" if sign < 0 else "") + text
-        else:
-            body += (" - " if sign < 0 else " + ") + text
-    return f"P(n,{f.s}) = {body}  [n >= {f.validity_floor}]"
-
-
-def formula_terms_json(f: ClosedFormFormula) -> list:
-    """JSON-ready term list: base as string, psi coefficients as strings."""
-    return [
-        {"base": str(f.s - p.i), "psi": [str(c) for c in p.coeffs_in_n]}
-        for p in f.psi
-    ]
+    pieces = [_term_text(p.coeffs_in_n, f.s - p.i) for p in f.psi if p.coeffs_in_n]
+    return f"P(n,{f.s}) = {signed_sum(pieces)}  [n >= {f.validity_floor}]"

@@ -115,11 +115,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return poly_scale(a, 1 / a[-1])
 
 
-def poly_to_strings(p: Poly) -> list:
-    """Coefficients as exact decimal strings, constant term first."""
-    return [str(c) for c in p]
-
-
 def factored_denominator(factors) -> FactorMap:
     """Canonical tuple for prod (1 - k*x)**e: pairs (k, e) by decreasing k.
 

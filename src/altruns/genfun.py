@@ -238,14 +238,23 @@ def _power_text(base: str, e: int) -> str:
     return f"{base}^{e}"
 
 
+def monomial_text(mag, i: int) -> str:
+    """mag x^i for a positive coefficient mag, e.g. 19/4, x, 2x^3."""
+    return ("" if mag == 1 and i > 0 else str(mag)) + _power_text("x", i)
+
+
+def factor_text(k: int, e: int) -> str:
+    """(1 - k x)^e, e.g. (1-x), (1-2x)^3."""
+    return f"(1-{'' if k == 1 else k}x)" + (f"^{e}" if e > 1 else "")
+
+
 def _int_poly_text(coeffs) -> str:
     # ascending, integer coefficients, first one positive by construction
     parts = []
     for i, c in enumerate(coeffs):
         if not c:
             continue
-        mag = abs(c)
-        body = ("" if mag == 1 and i > 0 else str(mag)) + _power_text("x", i)
+        body = monomial_text(abs(c), i)
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
@@ -274,10 +283,7 @@ def render_us(u: UsFunction) -> str:
         num_text = head if head else "1"
     else:
         num_text = f"{head}({_int_poly_text(residual)})"
-    factors = "".join(
-        f"(1-{'' if k == 1 else k}x)" + (f"^{e}" if e > 1 else "")
-        for k, e in u.ratfun.denominator
-    )
+    factors = "".join(factor_text(k, e) for k, e in u.ratfun.denominator)
     if len(u.ratfun.denominator) > 1 or u.ratfun.denominator[0][1] > 1:
         den_text = f"({factors})"
     else:

@@ -149,20 +149,6 @@ def andre_triangle(n_max: int) -> RunTriangle:
     return RunTriangle(2, n_max, tuple(rows))
 
 
-def triangle_csv_rows(t: RunTriangle) -> list:
-    """(n, s, value) string triples, rows in order, columns left to right."""
-    return [
-        (str(n), str(s), str(t.value(n, s)))
-        for n in range(t.n_min, t.n_max + 1)
-        for s in range(1, n)
-    ]
-
-
-def triangle_json_rows(t: RunTriangle) -> list:
-    """Nested lists of decimal strings, one inner list per row."""
-    return [[str(v) for v in row] for row in t.entries]
-
-
 @dataclass(frozen=True)
 class RunPolynomial:
     """Row n packaged as sum_s P(n,s) x**s."""

@@ -1,6 +1,8 @@
+import csv
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +103,9 @@ def test_formula_json(capsys):
         {"base": "2", "psi": ["1"]},
         {"base": "1", "psi": ["-4"]},
     ]
+    obj = json.loads(run(capsys, "formula", "--s", "4", "--format", "json")[1])
+    assert obj["terms"][0] == {"base": "4", "psi": ["1/4"]}
+    assert obj["terms"][2] == {"base": "2", "psi": ["3", "-1/2"]}
 
 
 def test_formula_no_csv(capsys):
@@ -198,6 +203,17 @@ def test_trace_json(capsys):
     assert obj["choices"] == ["1"]
 
 
+def test_trace_json_sorts_elements_as_integers(capsys):
+    code, out, _ = run(capsys, "trace", "--blocks", "1,3,5,7,9,11;2,4,6,8,10", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    odd, even = [str(v) for v in range(1, 12, 2)], [str(v) for v in range(2, 11, 2)]
+    assert obj["blocks"] == [odd, even]
+    assert obj["unions"] == [[str(v) for v in range(1, 12)]]
+    assert obj["candidate"] == [odd, even + ["11"]]
+    assert (obj["deleted"], obj["choices"]) == (["11"], ["2"])
+
+
 def test_trace_usage_errors(capsys):
     assert run(capsys, "trace", "--blocks", "1,2;2,3")[0] == 2  # overlap
     assert run(capsys, "trace", "--blocks", "1,2;4")[0] == 2  # gap in cover
@@ -236,6 +252,48 @@ def test_verify_reports_failures(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "genfun", "--format", "json")
     assert code == 1
     assert json.loads(out)["ok"] is False
+
+
+def test_verify_record_shape(capsys, monkeypatch):
+    def broken():
+        raise ArithmeticError("forced")
+
+    checks = (("triangle", "sums, one name with a comma", lambda: "fine"), ("genfun", "broken", broken))
+    monkeypatch.setattr(cli, "CHECKS", checks)
+    code, out, _ = run(capsys, "verify", "--format", "json")
+    assert code == 1
+    entries = json.loads(out)["checks"]
+    assert [e["ok"] for e in entries] == [True, False]
+    for e in entries:
+        assert list(e) == ["suite", "name", "ok", "seconds", "detail"]
+        assert re.fullmatch(r"\d+\.\d{3}", e["seconds"])
+    code, out, _ = run(capsys, "verify", "--format", "csv")
+    rows = list(csv.reader(out.splitlines()))
+    assert [r[:3] for r in rows] == [[s, n, v] for (s, n, _), v in zip(checks, ("pass", "fail"))]
+    assert all(len(r) == 4 and re.fullmatch(r"\d+\.\d{3}", r[3]) for r in rows)
+    code, out, _ = run(capsys, "verify")
+    assert out.splitlines()[-1] == "1/2 checks passed"
+
+
+def _json_leaves(value):
+    if isinstance(value, dict):
+        return [leaf for v in value.values() for leaf in _json_leaves(v)]
+    if isinstance(value, list):
+        return [leaf for v in value for leaf in _json_leaves(v)]
+    return [value]
+
+
+def test_json_has_no_numbers_but_the_schema(capsys):
+    argvs = [argv for argv, hashes in OUTPUT_GOLDEN.items() if hashes[1] is not None]
+    argvs += [("count", "--n", "7", "--s", "4", "--method", m) for m in cli.METHODS]
+    argvs += [("verify", "--suite", "polynomial")]
+    for argv in argvs:
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj.pop("schema") == 1
+        for leaf in _json_leaves(obj):
+            assert leaf is None or isinstance(leaf, (str, bool)), (argv, leaf)
 
 
 def test_unknown_arguments(capsys):

@@ -7,7 +7,6 @@ from altruns.closed_form import (
     asymptotic_report,
     evaluate_closed_form,
     formula_from_pfd,
-    formula_terms_json,
     k_constant,
     psi_from_recurrence,
     render_formula,
@@ -85,12 +84,6 @@ def test_render_displays():
         render_formula(formula_from_pfd(4))
         == "P(n,4) = 4^(n-1) - 3^n + (6-n)*2^(n-1) + (2n-7)  [n >= 2]"
     )
-
-
-def test_terms_json():
-    terms = formula_terms_json(formula_from_pfd(4))
-    assert terms[0] == {"base": "4", "psi": ["1/4"]}
-    assert terms[2] == {"base": "2", "psi": ["3", "-1/2"]}
 
 
 def test_psi_routes_agree():

@@ -24,7 +24,6 @@ from altruns.exact_algebra import (
     poly_mul,
     poly_scale,
     poly_sub,
-    poly_to_strings,
     rational_function,
     reassemble,
     rf_add,
@@ -84,10 +83,6 @@ def test_poly_gcd():
     assert poly_gcd(a, b) == (1, 1)
     assert poly_gcd(a, ZERO) == poly_scale(a, Fraction(1, a[-1]))
     assert poly_gcd(ZERO, ZERO) == ZERO
-
-
-def test_poly_strings():
-    assert poly_to_strings(poly((Fraction(19, 4), 2))) == ["19/4", "2"]
 
 
 def test_factored_denominator_canonical():

@@ -8,7 +8,6 @@ from altruns import run_counts
 from altruns.exact_algebra import poly_eval
 from altruns.run_counts import (
     BRUTE_FORCE_MAX_N,
-    RunTriangle,
     andre_column,
     andre_row,
     andre_triangle,
@@ -16,8 +15,6 @@ from altruns.run_counts import (
     count_runs,
     log_concavity_check,
     run_polynomial,
-    triangle_csv_rows,
-    triangle_json_rows,
 )
 
 ROW_8 = (2, 252, 2766, 9576, 14622, 10332, 2770)
@@ -126,13 +123,6 @@ def test_triangle_value_bounds():
         t.value(6, 1)
     with pytest.raises(ValueError):
         andre_triangle(1)
-
-
-def test_triangle_serialization():
-    t = andre_triangle(3)
-    assert triangle_csv_rows(t) == [("2", "1", "2"), ("3", "1", "2"), ("3", "2", "4")]
-    assert triangle_json_rows(t) == [["2"], ["2", "4"]]
-    assert isinstance(t, RunTriangle)
 
 
 def test_run_polynomial_matches_triangle():
