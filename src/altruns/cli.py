@@ -95,7 +95,7 @@ def _count_value(n: int, s: int, method: str, budget: int) -> int:
         u = genfun.build_us(s)[s]
         value = series_coefficients(u.ratfun, n)[n]
         _require(value.denominator == 1, f"series coefficient {n} of u_{s} is not an integer")
-        return int(value)
+        return value
     if method == "closed-form":
         _level_arg(s)
         f = closed_form.formula_from_pfd(s)
@@ -328,9 +328,8 @@ def _check_psi_routes():
 
 def _check_formula_values():
     t = run_counts.andre_triangle(20)
-    us = genfun.build_us(8)
     for s in range(1, 9):
-        f = closed_form.formula_from_pfd(s, us[s])
+        f = closed_form.formula_from_pfd(s)
         for n in range(s + 1, 21):
             _require(
                 closed_form.evaluate_closed_form(f, n) == t.value(n, s),

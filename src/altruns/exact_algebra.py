@@ -1,23 +1,23 @@
 """Exact polynomial and rational-function arithmetic over the rationals.
 
-Polynomials are dense coefficient tuples of ``fractions.Fraction``: index i
-holds the coefficient of x**i, the last entry is nonzero, and the zero
-polynomial is the empty tuple. Rational functions keep their denominators in
+Polynomials are dense coefficient tuples, ints until a division makes a
+``fractions.Fraction``: index i holds the coefficient of x**i, the last entry
+is nonzero, and the zero polynomial is the empty tuple. Denominators stay in
 the factored form prod (1 - k*x)**e with integer k >= 1, so every pole is
-known exactly and partial fractions reduce to evaluation plus synthetic
-division instead of root finding. Real-root counting uses exact Sturm chains.
+known exactly and cancellation and partial fractions are synthetic division,
+not root finding. Real-root counting uses exact Sturm chains.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 Poly = tuple  # dense coefficient tuple, constant term first
 FactorMap = tuple  # ((k, e), ...) sorted by decreasing k
 
 ZERO: Poly = ()
-ONE: Poly = (Fraction(1),)
+ONE: Poly = (1,)
 
 
 def _require(cond, msg: str) -> None:
@@ -26,9 +26,13 @@ def _require(cond, msg: str) -> None:
         raise ArithmeticError(msg)
 
 
+def _exact(c):  # any number but an int or a Fraction becomes its exact Fraction
+    return c if isinstance(c, (int, Fraction)) else Fraction(c)
+
+
 def poly(coeffs) -> Poly:
     """Normalize an iterable of numbers into a Poly (strip trailing zeros)."""
-    out = [Fraction(c) for c in coeffs]
+    out = [_exact(c) for c in coeffs]
     while out and not out[-1]:
         out.pop()
     return tuple(out)
@@ -54,14 +58,13 @@ def poly_sub(a: Poly, b: Poly) -> Poly:
 
 
 def poly_scale(p: Poly, c) -> Poly:
-    c = Fraction(c)
-    return poly(x * c for x in p)
+    return poly_mul(p, poly((c,)))
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
@@ -79,10 +82,10 @@ def poly_divrem(num: Poly, den: Poly) -> tuple:
     if not den:
         raise ZeroDivisionError("division by zero polynomial")
     rem = list(num)
-    q = [Fraction(0)] * max(0, len(num) - len(den) + 1)
+    q = [0] * max(0, len(num) - len(den) + 1)
     lead = den[-1]
     for i in range(len(num) - len(den), -1, -1):
-        c = rem[i + len(den) - 1] / lead
+        c = Fraction(rem[i + len(den) - 1], lead)
         if c:
             q[i] = c
             for j, d in enumerate(den):
@@ -91,8 +94,8 @@ def poly_divrem(num: Poly, den: Poly) -> tuple:
 
 
 def poly_eval(p: Poly, x):
-    x = Fraction(x)
-    acc = Fraction(0)
+    x = _exact(x)
+    acc = 0
     for c in reversed(p):
         acc = acc * x + c
     return acc
@@ -112,7 +115,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         a, b = b, poly_divrem(a, b)[1]
     if not a:
         return ZERO
-    return poly_scale(a, 1 / a[-1])
+    return poly_scale(a, Fraction(1, a[-1]))
 
 
 def factored_denominator(factors) -> FactorMap:
@@ -165,15 +168,17 @@ class RationalFunction:
                 raise ValueError("the zero function carries an empty denominator")
             return
         for k, _ in self.denominator:
-            if poly_eval(self.numerator, Fraction(1, k)) == 0:
+            if _deflate(self.numerator, k) is not None:
                 raise ValueError(f"numerator shares the factor (1-{k}x) with the denominator")
 
 
-def _deflate(p: Poly, k: int) -> Poly:
-    # exact division by (1 - k*x); caller guarantees p(1/k) == 0
-    q, r = poly_divrem(p, poly((1, -k)))
-    _require(not r, "deflation by a factor that does not divide")
-    return q
+def _deflate(p: Poly, k: int):
+    # p / (1 - k*x) by q_i = p_i + k*q_{i-1}, or None if the last step, k**deg(p) p(1/k), is not 0
+    q, carry = [], 0
+    for c in p:
+        carry = c + k * carry
+        q.append(carry)
+    return None if q and q.pop() else tuple(q)
 
 
 def rational_function(numerator, denominator) -> RationalFunction:
@@ -183,11 +188,8 @@ def rational_function(numerator, denominator) -> RationalFunction:
         return RationalFunction(ZERO, ())
     den = {k: e for k, e in factored_denominator(denominator)}
     for k in list(den):
-        while den[k] and poly_eval(num, Fraction(1, k)) == 0:
-            num = _deflate(num, k)
-            den[k] -= 1
-        if not den[k]:
-            del den[k]
+        while den[k] and (q := _deflate(num, k)) is not None:
+            num, den[k] = q, den[k] - 1
     return RationalFunction(num, factored_denominator(den))
 
 
@@ -217,7 +219,7 @@ def rf_derivative(f: RationalFunction) -> RationalFunction:
 
 
 def series_coefficients(f: RationalFunction, n_max: int) -> list:
-    """Taylor coefficients of f at 0, indices 0..n_max, as Fractions.
+    """Taylor coefficients of f at 0, indices 0..n_max; ints for an integer numerator.
 
     Runs the linear recurrence read off the expanded denominator, so cost is
     O(n_max * deg(denominator)) exact operations.
@@ -228,7 +230,7 @@ def series_coefficients(f: RationalFunction, n_max: int) -> list:
     num = f.numerator
     out = []
     for n in range(n_max + 1):
-        acc = num[n] if n < len(num) else Fraction(0)
+        acc = num[n] if n < len(num) else 0
         for j in range(1, min(n, len(den) - 1) + 1):
             acc -= den[j] * out[n - j]
         out.append(acc)
@@ -261,12 +263,14 @@ def partial_fractions(f: RationalFunction) -> PartialFractionExpansion:
         (k, e) = rest[0]
         rest = rest[1:]
         b = denominator_expand(rest)
-        bval = poly_eval(b, Fraction(1, k))
+        pole = Fraction(1, k)
+        bval = poly_eval(b, pole)
         for m in range(e, 0, -1):
-            c = poly_eval(r, Fraction(1, k)) / bval
+            c = poly_eval(r, pole) / bval
             if c:
                 terms.append((k, m, c))
             r = _deflate(poly_sub(r, poly_scale(b, c)), k)
+            _require(r is not None, "deflation by a factor that does not divide")
     _require(not r, "peeling must exhaust the proper part")
     return PartialFractionExpansion(tuple(terms), poly_part)
 

@@ -99,15 +99,14 @@ def build_us(s_max: int) -> list:
                 rf_mul_poly(prev2, poly((0, -(s - 1)))),
             ),
         )
-        lifted = dict(rhs.denominator)
-        lifted[s] = lifted.get(s, 0) + 1
+        # rhs is in lowest terms: delta(s) clears rhs/(1-sx) iff it holds all its factors
         target = delta(s)
-        num, rem = poly_divrem(
-            poly_mul(rhs.numerator, denominator_expand(target)),
-            denominator_expand(lifted),
-        )
-        if rem:
+        spare = dict(target)
+        for k, e in rhs.denominator + ((s, 1),):
+            spare[k] = spare.get(k, 0) - e
+        if min(spare.values()) < 0:
             raise ArithmeticError("factored denominator normalization failed: nonzero remainder")
+        num = poly_mul(rhs.numerator, denominator_expand(spare))
         u = rational_function(num, target)
         if u.denominator != target or u.numerator != num:
             raise ArithmeticError("factored denominator normalization failed: common factor")
@@ -267,15 +266,12 @@ def render_us(u: UsFunction) -> str:
     denominator factors by decreasing k, e.g. 2x^4(5-6x) / ((1-3x)(1-2x)(1-x)^2).
     """
     num = u.ratfun.numerator
-    _require(num and all(c.denominator == 1 for c in num), f"u_{u.s} has no integer numerator")
+    _require(num and all(type(c) is int for c in num), f"u_{u.s} has no integer numerator")
     val = next(i for i, c in enumerate(num) if c)
-    ints = [int(c) for c in num[val:]]
-    content = 0
-    for c in ints:
-        content = gcd(content, abs(c))
-    if ints[0] < 0:
+    content = gcd(*num)
+    if num[val] < 0:
         content = -content
-    residual = [c // content for c in ints]
+    residual = [c // content for c in num[val:]]
     head = ("" if abs(content) == 1 else str(abs(content))) + _power_text("x", val)
     if content < 0:
         head = "-" + head

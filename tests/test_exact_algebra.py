@@ -8,6 +8,7 @@ from altruns.exact_algebra import (
     ZERO,
     PartialFractionExpansion,
     RationalFunction,
+    _deflate,
     degree,
     denominator_degree,
     denominator_expand,
@@ -35,6 +36,17 @@ from altruns.exact_algebra import (
 
 fractions_st = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 polys_st = st.lists(fractions_st, max_size=6).map(poly)
+int_polys_st = st.lists(st.integers(-6, 6), max_size=6).map(poly)
+any_polys_st = st.one_of(polys_st, int_polys_st)
+
+
+def as_fractions(p):
+    return tuple(Fraction(c) for c in p)
+
+
+def exact(*polys):
+    """Every coefficient is an int or a Fraction; a float would be rounded."""
+    return all(type(c) in (int, Fraction) for p in polys for c in p)
 
 
 def test_poly_normalization():
@@ -68,13 +80,31 @@ def test_poly_divrem():
         poly_divrem(poly((1,)), ZERO)
 
 
-@given(polys_st, polys_st)
+@given(any_polys_st, any_polys_st)
 def test_divrem_reassembles(a, b):
     if not b:
         return
     q, r = poly_divrem(a, b)
     assert poly_add(poly_mul(q, b), r) == a
     assert degree(r) < degree(b)
+    assert exact(q, r)
+    assert (q, r) == poly_divrem(as_fractions(a), as_fractions(b))
+
+
+@given(any_polys_st, st.integers(1, 6))
+def test_deflate_is_exact_division(p, k):
+    factor = poly((1, -k))
+    for num in (p, poly_mul(p, factor)):
+        q = _deflate(num, k)
+        quotient, rem = poly_divrem(num, factor)
+        if rem:
+            assert q is None
+        else:
+            assert q == quotient and poly_mul(q, factor) == num
+            assert exact(q) and type(q) is tuple
+            if all(type(c) is int for c in num):
+                assert all(type(c) is int for c in q)
+    assert _deflate(ZERO, k) == ZERO
 
 
 def test_poly_gcd():
@@ -83,6 +113,17 @@ def test_poly_gcd():
     assert poly_gcd(a, b) == (1, 1)
     assert poly_gcd(a, ZERO) == poly_scale(a, Fraction(1, a[-1]))
     assert poly_gcd(ZERO, ZERO) == ZERO
+    assert poly_gcd(poly((1, 3)), ZERO) == (Fraction(1, 3), 1)
+
+
+@given(any_polys_st, any_polys_st)
+def test_gcd_is_monic_common_divisor(a, b):
+    g = poly_gcd(a, b)
+    assert exact(g)
+    assert g == poly_gcd(as_fractions(a), as_fractions(b))
+    if a or b:
+        assert g[-1] == 1
+        assert not poly_divrem(a, g)[1] and not poly_divrem(b, g)[1]
 
 
 def test_factored_denominator_canonical():
@@ -154,19 +195,25 @@ def rational_functions_st(draw):
     ks = draw(st.lists(st.integers(1, 4), unique=True, min_size=1, max_size=3))
     den = {k: draw(st.integers(1, 2)) for k in ks}
     size = sum(den.values()) + draw(st.integers(0, 2))
-    num = draw(st.lists(fractions_st, min_size=1, max_size=size + 1).map(poly))
+    coeffs = draw(st.sampled_from([fractions_st, st.integers(-5, 5)]))
+    num = draw(st.lists(coeffs, min_size=1, max_size=size + 1).map(poly))
     return rational_function(num, den)
 
 
 @given(rational_functions_st())
 def test_partial_fractions_reassemble(f):
-    assert reassemble(partial_fractions(f)) == f
+    pfe = partial_fractions(f)
+    assert reassemble(pfe) == f
+    assert exact(pfe.poly_part, [c for _, _, c in pfe.pole_terms])
+    as_fraction_input = RationalFunction(as_fractions(f.numerator), f.denominator)
+    assert pfe == partial_fractions(as_fraction_input)
 
 
 @given(rational_functions_st())
 def test_partial_fractions_match_series(f):
     pfe = partial_fractions(f)
     coeffs = series_coefficients(f, 8)
+    assert exact(coeffs)
     for n in range(9):
         total = pfe.poly_part[n] if n < len(pfe.poly_part) else Fraction(0)
         for k, m, c in pfe.pole_terms:
@@ -186,15 +233,18 @@ def test_sturm_examples():
 
 
 @given(st.lists(st.integers(-4, 4), unique=True, min_size=1, max_size=4),
-       st.lists(st.integers(1, 2), min_size=4, max_size=4))
-def test_sturm_constructed_roots(roots, mults):
-    p = ONE
+       st.lists(st.integers(1, 2), min_size=4, max_size=4),
+       st.sampled_from([1, -2, 3]))
+def test_sturm_constructed_roots(roots, mults, lead):
+    p = poly((lead,))
     for r, m in zip(roots, mults):
         for _ in range(m):
             p = poly_mul(p, poly((-r, 1)))
+    assert all(type(c) is int for c in p)
     count, nonpositive = sturm_real_root_audit(p)
     assert count == len(roots)
     assert nonpositive == all(r <= 0 for r in roots)
+    assert sturm_real_root_audit(as_fractions(p)) == (count, nonpositive)
 
 
 def test_expansion_type_is_frozen():

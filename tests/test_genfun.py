@@ -1,8 +1,12 @@
-from fractions import Fraction
-
 import pytest
 
-from altruns.exact_algebra import degree, denominator_degree, series_coefficients
+from altruns import genfun
+from altruns.exact_algebra import (
+    degree,
+    denominator_degree,
+    factored_denominator,
+    series_coefficients,
+)
 from altruns.genfun import (
     UsFunction,
     assembly_term_degrees,
@@ -101,6 +105,24 @@ def test_render_displays():
 
 
 def test_numerators_are_integral():
-    for u in build_us(9)[1:]:
-        assert all(c.denominator == 1 for c in u.ratfun.numerator)
-        assert all(isinstance(c, Fraction) for c in u.ratfun.numerator)
+    for u in build_us(20)[1:]:
+        assert all(type(c) is int for c in u.ratfun.numerator)
+
+
+@pytest.mark.parametrize(
+    "change, failure",
+    [
+        ({2: 1}, "nonzero remainder"),  # (1-2x)^2 dropped to the first power
+        ({4: 2}, "common factor"),  # an extra (1-4x)
+    ],
+)
+def test_build_us_rejects_a_wrong_denominator(monkeypatch, change, failure):
+    true_delta = genfun.delta
+
+    def wrong_at_4(s):
+        return factored_denominator({**dict(true_delta(s)), **change}) if s == 4 else true_delta(s)
+
+    monkeypatch.setattr(genfun, "delta", wrong_at_4)
+    with pytest.raises(ArithmeticError, match=failure):
+        build_us(4)
+    assert len(build_us(3)) == 4
