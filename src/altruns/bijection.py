@@ -29,7 +29,7 @@ NONADJACENT_OVERLAP = "nonadjacent_overlap"
 ENDPOINT_MISMATCH = "endpoint_mismatch"
 
 # classes reconstruction can actually report, in the order they are checked
-FAILURE_CLASSES = (EMPTY_UNION, SMALL_SET, NONADJACENT_OVERLAP, ENDPOINT_MISMATCH)
+FAILURE_CLASSES = (EMPTY_UNION, SMALL_SET, ENDPOINT_MISMATCH)
 
 ENUMERATION_BUDGET = 1 << 24
 _BIT = (1).__lshift__
@@ -58,19 +58,13 @@ def _masks(sets) -> list:
 
 def _candidate_violation(cand, s: int) -> Optional[str]:
     """First failed condition of bitmask blocks that cover 1..n, adjacent ones
-    sharing one element at most: block sizes, disjointness two apart, then the
-    shared endpoints (max of both neighbors at odd junctions, min at even).
-
-    Blocks three or more apart need no check: with n+s-1 elements in all and
-    one shared per adjacent pair, each element lies in consecutive blocks, so
-    such an overlap implies one two apart, which is reported first.
+    sharing one element at most, blocks two apart disjoint unless the block
+    between has one element (see _recover): block sizes, then the shared
+    endpoints (max of both neighbors at odd junctions, min at even).
     """
     for c in cand:
         if c.bit_count() < 2:
             return SMALL_SET
-    for i in range(s - 2):
-        if cand[i] & cand[i + 2]:
-            return NONADJACENT_OVERLAP
     for i in range(s - 1):
         shared = cand[i] & cand[i + 1]
         if i % 2 == 0:
@@ -108,6 +102,12 @@ def settuple_violation(n: int, sets) -> Optional[str]:
     for i in range(s - 1):
         if (masks[i] & masks[i + 1]).bit_count() != 1:
             return ADJACENT_OVERLAP
+    # blocks three or more apart need no check: with n+s-1 elements in all and
+    # one shared per adjacent pair, each element lies in consecutive blocks, so
+    # such an overlap implies one two apart, which is reported here
+    for i in range(s - 2):
+        if masks[i] & masks[i + 2]:
+            return NONADJACENT_OVERLAP
     return _candidate_violation(masks, s)
 
 
@@ -199,6 +199,11 @@ def _recover(masks, s: int):
     The shared element e_i survives in exactly one of T_i, T_{i+1}, so it is
     still the extreme of their union (max at odd junctions, min at even);
     it goes back into the neighbour that lost it.
+
+    Candidates two apart overlap only around a one-element block: i and
+    i+2 can share only an x in T_{i+1}, put back at both junctions, so x is
+    the max of T_i | T_{i+1} at one and the min of T_{i+1} | T_{i+2} at the
+    other, and candidate i+1 = T_{i+1} = {x} fails as a small set first.
     """
     cand = list(masks)
     for i in range(s - 1):
@@ -237,7 +242,7 @@ def reconstruct(t: TTuple) -> Optional[tuple]:
     """(choice sequence, SetTuple) with phi mapping them back to t, or None.
 
     None is the normal outcome for tuples outside the image; the failure
-    class is available from :func:`classify_failure` or the trace.
+    class is available from :func:`reconstruct_trace`.
     """
     bad = ttuple_violation(t.n, t.sets)
     if bad is not None:
@@ -248,14 +253,6 @@ def reconstruct(t: TTuple) -> Optional[tuple]:
     result = (choices, SetTuple(t.n, cand))
     _require(phi(choices, result[1]) == t, "phi does not map the preimage back")
     return result
-
-
-def classify_failure(t: TTuple) -> Optional[str]:
-    """Failure class for t, or None when t has a preimage."""
-    bad = ttuple_violation(t.n, t.sets)
-    if bad is not None:
-        raise ValueError(f"invalid block tuple: {bad}")
-    return _reconstruct(t.n, t.sets)[0]
 
 
 def reconstruct_trace(t: TTuple) -> ReconstructionTrace:

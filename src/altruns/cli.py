@@ -152,21 +152,16 @@ def cmd_gf(args) -> int:
     return 0
 
 
-def _pfd_term_text(k: int, m: int, c) -> str:
-    mag = abs(c)
-    head = f"({mag})" if mag.denominator != 1 else str(mag)
-    return f"{head}/{genfun.factor_text(k, m)}"
-
-
 def cmd_pfd(args) -> int:
     s = _level_arg(args.s)
     u = genfun.build_us(s)[s]
     pfe = partial_fractions(u.ratfun)
-    pieces = [(c < 0, _pfd_term_text(k, m, c)) for k, m, c in pfe.pole_terms]
-    for i, c in enumerate(pfe.poly_part):
-        if c:
-            pieces.append((c < 0, genfun.monomial_text(abs(c), i)))
-    body = closed_form.signed_sum(pieces)
+    pieces = [
+        (c < 0, f"{genfun.coefficient_text(abs(c))}/{genfun.factor_text(k, m)}")
+        for k, m, c in pfe.pole_terms
+    ]
+    pieces += [(c < 0, genfun.monomial_text(abs(c), i)) for i, c in enumerate(pfe.poly_part) if c]
+    body = genfun.signed_sum(pieces)
     record = {
         "s": s,
         "terms": [{"k": k, "m": m, "c": c} for k, m, c in pfe.pole_terms],
@@ -386,7 +381,7 @@ def _check_failure_classes():
         _require(known, f"unknown failure class at n={n}, s={s}")
         successes = bijection.image_census(n, s).successes
         _require(successes + sum(tally.values()) == s**n, f"tally at n={n}, s={s} misses tuples")
-    return "four-class taxonomy covers every failure"
+    return f"{len(bijection.FAILURE_CLASSES)} reachable classes cover every failure"
 
 
 def _check_polynomials():

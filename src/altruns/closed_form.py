@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, lcm
 
 from .exact_algebra import (
     ONE,
@@ -27,7 +27,7 @@ from .exact_algebra import (
     poly_scale,
     poly_sub,
 )
-from .genfun import UsFunction, build_us
+from .genfun import UsFunction, build_us, coefficient_text, monomial_text, signed_sum
 # andre_triangle is no longer called here but stays bound: perfbench's tracing
 # checks that it wraps the triangle in every module that imported it
 from .run_counts import andre_column, andre_triangle  # noqa: F401
@@ -178,7 +178,7 @@ def asymptotic_report(s: int, n_list) -> list:
     out = []
     for n in n_list:
         p = column[n - 2]
-        estimate = Fraction(4 * s**n, 2**s)
+        estimate = k_constant(s) * s**n
         out.append(AsymptoticEstimate(n, s, estimate, abs(Fraction(p) / estimate - 1)))
     return out
 
@@ -195,21 +195,9 @@ def _n_poly_text(ints) -> tuple:
     negated = all(c < 0 for _, c in terms)
     if negated:
         terms = [(i, -c) for i, c in terms]
-    descending = list(reversed(terms))
-    order = descending if descending[0][1] > 0 else terms
-    parts = []
-    for i, c in order:
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            head = "" if mag == 1 else str(mag)
-            body = head + ("n" if i == 1 else f"n^{i}")
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+" if c > 0 else "-") + body)
-    return negated, "".join(parts)
+    if terms[-1][1] > 0:
+        terms.reverse()
+    return negated, signed_sum(((c < 0, monomial_text(abs(c), i, "n")) for i, c in terms), sep="")
 
 
 def _exact_log(base: int, value: int) -> int:
@@ -234,44 +222,28 @@ def _base_power_text(base: int, scale: Fraction) -> str:
         shift = _exact_log(base, scale.numerator)
         if shift:
             return f"{base}^(n+{shift})"
-    text = str(scale) if scale.denominator == 1 else f"({scale})"
-    return f"{text}*{base}^n"
+    return f"{coefficient_text(scale)}*{base}^n"
 
 
 def _term_text(coeffs: Poly, base: int) -> tuple:
     """One rendered formula term; returns (negative, text) with text unsigned."""
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
     if base == 1:
         negated, text = _n_poly_text(ints)
         if degree(poly(coeffs)) > 0:
             text = f"({text})"
-        if lcm > 1:
-            text = f"{text}/{lcm}"
+        if den > 1:
+            text = f"{text}/{den}"
         return negated, text
-    content = 0
-    for c in ints:
-        content = gcd(content, abs(c))
+    content = gcd(*ints)
     reduced = [c // content for c in ints]
-    scale = Fraction(content, lcm)
+    scale = Fraction(content, den)
     negated, ptext = _n_poly_text(reduced)
     power = _base_power_text(base, scale)
     if reduced in ([1], [-1]):
         return negated, power
     return negated, f"({ptext})*{power}"
-
-
-def signed_sum(pieces) -> str:
-    """Join (negative, unsigned text) pairs as a - b + c."""
-    body = ""
-    for idx, (negative, text) in enumerate(pieces):
-        if idx == 0:
-            body = ("-" if negative else "") + text
-        else:
-            body += (" - " if negative else " + ") + text
-    return body
 
 
 def render_formula(f: ClosedFormFormula) -> str:

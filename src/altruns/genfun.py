@@ -237,28 +237,30 @@ def _power_text(base: str, e: int) -> str:
     return f"{base}^{e}"
 
 
-def monomial_text(mag, i: int) -> str:
-    """mag x^i for a positive coefficient mag, e.g. 19/4, x, 2x^3."""
-    return ("" if mag == 1 and i > 0 else str(mag)) + _power_text("x", i)
+def monomial_text(mag, i: int, var: str = "x") -> str:
+    """mag var^i for a positive coefficient mag, e.g. 19/4, x, 2x^3, n^2."""
+    return ("" if mag == 1 and i > 0 else str(mag)) + _power_text(var, i)
+
+
+def coefficient_text(c) -> str:
+    """A coefficient as a factor: 3 as is, a fraction in parentheses (19/4)."""
+    return str(c) if c.denominator == 1 else f"({c})"
+
+
+def signed_sum(pieces, sep: str = " ") -> str:
+    """Join (negative, unsigned text) pairs as a - b + c; sep="" gives a-b+c."""
+    body = ""
+    for idx, (negative, text) in enumerate(pieces):
+        if idx:
+            body += f"{sep}{'-' if negative else '+'}{sep}{text}"
+        else:
+            body = ("-" if negative else "") + text
+    return body
 
 
 def factor_text(k: int, e: int) -> str:
     """(1 - k x)^e, e.g. (1-x), (1-2x)^3."""
     return f"(1-{'' if k == 1 else k}x)" + (f"^{e}" if e > 1 else "")
-
-
-def _int_poly_text(coeffs) -> str:
-    # ascending, integer coefficients, first one positive by construction
-    parts = []
-    for i, c in enumerate(coeffs):
-        if not c:
-            continue
-        body = monomial_text(abs(c), i)
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+" if c > 0 else "-") + body)
-    return "".join(parts)
 
 
 def render_us(u: UsFunction) -> str:
@@ -272,13 +274,11 @@ def render_us(u: UsFunction) -> str:
     if num[val] < 0:
         content = -content
     residual = [c // content for c in num[val:]]
-    head = ("" if abs(content) == 1 else str(abs(content))) + _power_text("x", val)
-    if content < 0:
-        head = "-" + head
-    if residual == [1]:
-        num_text = head if head else "1"
-    else:
-        num_text = f"{head}({_int_poly_text(residual)})"
+    head = monomial_text(abs(content), val)
+    if residual != [1]:
+        terms = ((c < 0, monomial_text(abs(c), i)) for i, c in enumerate(residual) if c)
+        head = ("" if head == "1" else head) + f"({signed_sum(terms, sep='')})"
+    num_text = ("-" if content < 0 else "") + head
     factors = "".join(factor_text(k, e) for k, e in u.ratfun.denominator)
     if len(u.ratfun.denominator) > 1 or u.ratfun.denominator[0][1] > 1:
         den_text = f"({factors})"

@@ -21,7 +21,6 @@ from altruns.exact_algebra import (
     sturm_real_root_audit,
 )
 
-US = genfun.build_us(12)
 TRIANGLE = run_counts.andre_triangle(25)
 
 ROW_8 = (2, 252, 2766, 9576, 14622, 10332, 2770)
@@ -75,9 +74,10 @@ def test_criterion_03():
         if run_counts.brute_force_row(n) != TRIANGLE.entries[n - 2]:
             return False, f"brute force disagrees at n={n}"
         cells += n - 1
+    us = genfun.build_us(8)
     for s in range(1, 9):
-        coeffs = series_coefficients(US[s].ratfun, 25)
-        formula = closed_form.formula_from_pfd(s, US[s])
+        coeffs = series_coefficients(us[s].ratfun, 25)
+        formula = closed_form.formula_from_pfd(s, us[s])
         for n in range(2, 26):
             expect = TRIANGLE.value(n, s)
             if coeffs[n] != expect:
@@ -105,8 +105,9 @@ def test_criterion_04():
             ((4, 1), (3, 1), (2, 2), (1, 2)),
         ),
     }
+    us = genfun.build_us(4)
     for s, (text, num, den) in want.items():
-        u = US[s]
+        u = us[s]
         if genfun.render_us(u) != text:
             return False, f"u_{s} renders as {genfun.render_us(u)!r}"
         if u.ratfun.numerator != num or u.ratfun.denominator != den:
@@ -134,7 +135,7 @@ def test_criterion_05():
 
 @criterion(6, "u_4 partial fraction constants")
 def test_criterion_06():
-    pfe = partial_fractions(US[4].ratfun)
+    pfe = partial_fractions(genfun.build_us(4)[4].ratfun)
     want_poles = (
         (4, 1, Fraction(1, 4)),
         (3, 1, Fraction(-1)),
@@ -149,13 +150,14 @@ def test_criterion_06():
 
 @criterion(7, "psi routes agree; explicit psi_1..psi_4 forms hold")
 def test_criterion_07():
+    us = genfun.build_us(12)
     for s in range(2, 11):
-        via_pfd = closed_form.formula_from_pfd(s, US[s]).psi
+        via_pfd = closed_form.formula_from_pfd(s, us[s]).psi
         if via_pfd != tuple(closed_form.psi_from_recurrence(s, s - 1)):
             return False, f"routes differ at s={s}"
     K = closed_form.k_constant
     for s in range(5, 13):
-        psi = closed_form.formula_from_pfd(s, US[s]).psi
+        psi = closed_form.formula_from_pfd(s, us[s]).psi
         for n in range(2, 31):
             values = [poly_eval(p.coeffs_in_n, n) for p in psi[1:5]]
             want = [

@@ -17,7 +17,6 @@ from altruns.bijection import (
     _block_masks,
     _mask_classify,
     bonferroni_bound,
-    classify_failure,
     failure_census,
     image_census,
     permutation_to_settuple,
@@ -195,7 +194,7 @@ def test_reconstruct_examples():
     found = reconstruct(TTuple(3, (fs(1), fs(2, 3))))
     assert found == ((1,), SetTuple(3, (fs(1, 3), fs(2, 3))))
     assert reconstruct(TTuple(3, (fs(1, 2, 3), fs()))) is None
-    assert classify_failure(TTuple(3, (fs(1, 2, 3), fs()))) == SMALL_SET
+    assert reconstruct_trace(TTuple(3, (fs(1, 2, 3), fs()))).failure == SMALL_SET
     # the image of 1 3 2 4 under h = (2, 3), though its union {2,4} is small
     found = reconstruct(TTuple(4, (fs(1, 3), fs(2), fs(4))))
     assert found == ((2, 3), SetTuple(4, (fs(1, 3), fs(2, 3), fs(2, 4))))
@@ -211,7 +210,6 @@ def test_reconstruct_validates_input():
 
 def test_empty_union_class():
     t = TTuple(4, (fs(1, 2), fs(), fs(), fs(3, 4)))
-    assert classify_failure(t) == EMPTY_UNION
     tr = reconstruct_trace(t)
     assert tr.failure == EMPTY_UNION
     assert tr.deleted == () and tr.candidate is None
@@ -220,8 +218,8 @@ def test_empty_union_class():
 def test_endpoint_mismatch_class():
     t = TTuple(6, (fs(1, 2, 3), fs(), fs(4, 5, 6)))
     assert reconstruct(t) is None
-    assert classify_failure(t) == ENDPOINT_MISMATCH
     tr = reconstruct_trace(t)
+    assert tr.failure == ENDPOINT_MISMATCH
     assert tr.candidate.sets == (fs(1, 2, 3), fs(3, 4), fs(4, 5, 6))
     assert tr.deleted == (3, 4)
 
@@ -291,9 +289,10 @@ def test_mask_classifier_matches_sets(n, data):
         masks[b] |= 1 << v
         blocks[b].add(v + 1)
     t = TTuple(n, tuple(frozenset(b) for b in blocks))
-    expected = classify_failure(t)
+    tr = reconstruct_trace(t)
+    expected = tr.failure
     assert _mask_classify(masks, s) == expected
-    cand = reconstruct_trace(t).candidate
+    cand = tr.candidate
     if cand is not None:
         assert expected == _settuple_violation_by_sets(n, cand.sets)
 

@@ -346,8 +346,9 @@ def test_count_output_golden(capsys, n, s):
 
 
 # sha256 (first 16 hex digits) of stdout in text, json and csv, recorded
-# before the JSON header moved into _emit; None where the parser refuses the
-# format (exit 2, nothing on stdout)
+# before the JSON header moved into _emit, and for formula, gf and pfd at
+# s = 3, 6..11 before their text moved onto the genfun primitives; None where
+# the parser refuses the format (exit 2, nothing on stdout)
 OUTPUT_GOLDEN = {
     ('table', '--n-max', '2'): ('64fd64d42d93a6b8', '287ebe2c320f908d', '11fcc94bbfe9b5ba'),
     ('table', '--n-max', '10'): ('e9705f29cdc9a87e', '89370bc4af1ce221', '0736707de480997c'),
@@ -355,13 +356,33 @@ OUTPUT_GOLDEN = {
     ('table', '--n-max', '200'): ('e394eabacbd311a3', 'f4f23d02c5cf40c5', 'ef2e1089f5910c1c'),
     ('formula', '--s', '1'): ('247fbab844e6343c', 'bfb05bbfeea34e11', None),
     ('formula', '--s', '2'): ('d5a5791cd1c5a6f2', '7fcb18fa92d5b1ea', None),
+    ('formula', '--s', '3'): ('99b62b46d58529c9', 'fa3a3cee1c0d46c6', None),
     ('formula', '--s', '5'): ('8811885ad695402e', '3044d1a96ad4d21d', None),
+    ('formula', '--s', '6'): ('f99934e4d602110c', 'e8ec52f378230211', None),
+    ('formula', '--s', '7'): ('3654ca0996647f92', 'dfa431d06b6ccd22', None),
+    ('formula', '--s', '8'): ('330dcf007fa26fee', '887d9f6d4d86f86b', None),
+    ('formula', '--s', '9'): ('d7170e8a17385f9c', '3be40cabdba1c676', None),
+    ('formula', '--s', '10'): ('2120ee3dcb248666', 'e89e6df6f9bde7c0', None),
+    ('formula', '--s', '11'): ('a604789619fe7b96', '5d4483963d2686a7', None),
     ('formula', '--s', '12'): ('d95b30ff704f41c9', '67b9d5e7591eeb41', None),
     ('gf', '--s', '1'): ('7aa6b5bb4ee2d15e', '47e4b01f0d0089bc', None),
     ('gf', '--s', '3'): ('4e6cf9d4c6ded586', '63e271a6b831bbf9', None),
+    ('gf', '--s', '6'): ('ee9df66ab1f09b88', '1f80c20c62d5c810', None),
+    ('gf', '--s', '7'): ('28614b1efe6d8e6c', '6c7c26c2b9e89a3e', None),
+    ('gf', '--s', '8'): ('7f56933dd367284d', 'a255d583989c4474', None),
+    ('gf', '--s', '9'): ('8a4951acefa6f019', '6286e68aafed1651', None),
+    ('gf', '--s', '10'): ('0f250e260e4822a7', '77d3417d84cbd4c0', None),
+    ('gf', '--s', '11'): ('a94e26d1a055a1d3', '10adbf9fd053e97a', None),
     ('gf', '--s', '12'): ('b1f19ee2b3f29455', '74842feb3d1b8fc2', None),
     ('pfd', '--s', '1'): ('2ce18ff3201090d7', 'de86e8f9441eae92', None),
+    ('pfd', '--s', '3'): ('7cfd9cc0d8c6e6f6', 'a18473a3d3d22832', None),
     ('pfd', '--s', '4'): ('7ae310b6e131417e', 'e3ea7c331f27142a', None),
+    ('pfd', '--s', '6'): ('b43dc4b9c5d40c18', '8aab422fd840b153', None),
+    ('pfd', '--s', '7'): ('bdb007eee573e000', '1354de448162101e', None),
+    ('pfd', '--s', '8'): ('06bd1a7a4ce88fa9', 'add18f56a7e02782', None),
+    ('pfd', '--s', '9'): ('cb3507c56028ce14', 'c111ab5218ef90a0', None),
+    ('pfd', '--s', '10'): ('d822330bc296db4b', '841533010b19438d', None),
+    ('pfd', '--s', '11'): ('98afece291067439', '1e182c23b82590b4', None),
     ('pfd', '--s', '12'): ('dfecff1fa1523445', 'b94c436b3db3432c', None),
     ('census', '--n', '2', '--s', '1'): ('1bf066737dffe69e', 'd0d7ab8bf9b003fc', '73f6b9aa7813ba91'),
     ('census', '--n', '5', '--s', '4'): ('5778fb6c67cb358d', '8e1cda9492f26de0', 'f4b7dff99e659417'),

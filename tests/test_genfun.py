@@ -16,6 +16,7 @@ from altruns.genfun import (
     epsilon,
     ratio_identities_check,
     render_us,
+    signed_sum,
 )
 from altruns.run_counts import andre_triangle
 
@@ -102,6 +103,13 @@ def test_render_displays():
     assert render_us(us[2]) == "4x^3 / ((1-2x)(1-x))"
     assert render_us(us[3]) == "2x^4(5-6x) / ((1-3x)(1-2x)(1-x)^2)"
     assert render_us(us[4]) == "4x^5(8-29x+24x^2) / ((1-4x)(1-3x)(1-2x)^2(1-x)^2)"
+
+
+def test_signed_sum_leading_negative():
+    pieces = [(True, "2n"), (False, "7"), (True, "n^2")]
+    assert signed_sum(pieces) == "-2n + 7 - n^2"
+    assert signed_sum(pieces, sep="") == "-2n+7-n^2"
+    assert signed_sum([]) == ""
 
 
 def test_numerators_are_integral():
