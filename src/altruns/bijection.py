@@ -10,11 +10,17 @@ lands injectively in ordered tuples of pairwise disjoint blocks, of which
 there are exactly s**n. Reconstruction inverts the map where a preimage
 exists; counting its successes over all s**n tuples pins the constant in the
 leading-term estimate of the run-count triangle.
+
+The conditions are stated once: _shared_bit recovers the shared element at
+one junction and _endpoint_mismatch tests the endpoints at one junction.
+Reconstruction applies them junction by junction to a whole tuple; the
+census applies them once per block prefix, walking all s**n tuples as a
+tree of prefixes and counting subtrees below an empty adjacent union in
+bulk.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import NamedTuple, Optional
 
 from .exact_algebra import _require
@@ -56,25 +62,38 @@ def _masks(sets) -> list:
     return [sum(map(_BIT, b)) for b in sets]
 
 
+def _shared_bit(left: int, right: int, i: int) -> int:
+    """Shared element e_i recovered from T_i and T_{i+1} (0-based junction i):
+    the max of their union at even i (odd junctions counted from 1), the min
+    at odd i; 0 when the union is empty."""
+    u = left | right
+    if i & 1:
+        return u & -u
+    return 1 << (u.bit_length() - 1) if u else 0
+
+
+def _endpoint_mismatch(a: int, b: int, i: int) -> bool:
+    """Whether candidates i and i+1 (two elements or more each) fail to share
+    exactly their common max (even i) or their common min (odd i)."""
+    shared = a & b
+    if i & 1:
+        low = a & -a
+        return shared != low or low != b & -b
+    return shared != 1 << (a.bit_length() - 1) or a.bit_length() != b.bit_length()
+
+
 def _candidate_violation(cand, s: int) -> Optional[str]:
     """First failed condition of bitmask blocks that cover 1..n, adjacent ones
     sharing one element at most, blocks two apart disjoint unless the block
     between has one element (see _recover): block sizes, then the shared
-    endpoints (max of both neighbors at odd junctions, min at even).
+    endpoints (_endpoint_mismatch at each junction).
     """
     for c in cand:
         if c.bit_count() < 2:
             return SMALL_SET
     for i in range(s - 1):
-        shared = cand[i] & cand[i + 1]
-        if i % 2 == 0:
-            top = 1 << (cand[i].bit_length() - 1)
-            if shared != top or cand[i].bit_length() != cand[i + 1].bit_length():
-                return ENDPOINT_MISMATCH
-        else:
-            low = cand[i] & -cand[i]
-            if shared != low or low != cand[i + 1] & -cand[i + 1]:
-                return ENDPOINT_MISMATCH
+        if _endpoint_mismatch(cand[i], cand[i + 1], i):
+            return ENDPOINT_MISMATCH
     return None
 
 
@@ -207,12 +226,10 @@ def _recover(masks, s: int):
     """
     cand = list(masks)
     for i in range(s - 1):
-        left = masks[i]
-        u = left | masks[i + 1]
-        if not u:
+        bit = _shared_bit(masks[i], masks[i + 1], i)
+        if not bit:
             return None
-        bit = u & -u if i & 1 else 1 << (u.bit_length() - 1)
-        cand[i + 1 if left & bit else i] |= bit
+        cand[i + 1 if masks[i] & bit else i] |= bit
     return cand
 
 
@@ -276,53 +293,102 @@ def _mask_classify(masks, s: int) -> Optional[str]:
     return _candidate_violation(cand, s)
 
 
-def _block_masks(n: int, s: int):
-    """All s**n ways to drop 1..n into s ordered blocks, as reused masks."""
-    masks = [0] * s
-    for assign in product(range(s), repeat=n):
-        for b in range(s):
-            masks[b] = 0
-        for v, b in enumerate(assign):
-            masks[b] |= 1 << v
-        yield masks
-
-
 class CensusResult(NamedTuple):
     successes: int
     total: int
 
 
 def _census(n: int, s: int, budget: int) -> dict:
-    """Failure classes of all s**n block tuples, None counting successes."""
+    """Failure classes of all s**n block tuples, None counting successes.
+
+    Walks block prefixes left to right, each block a submask of the
+    elements not yet placed and the last block forced to the rest. Choosing
+    a block recovers the shared element of the junction before it, which
+    completes the candidate before it; that candidate's size and the
+    endpoints of the junction before that are then tested, so each test
+    runs once per prefix. A prefix with an empty adjacent union is
+    empty_union whatever follows (that class is checked first), so its
+    leaves are counted in bulk: (blocks left) ** (elements left). Two
+    adjacent empty blocks end a prefix, so the walk is at most
+    min(s, 2n + 2) deep.
+    """
     if n < 2 or s < 1:
         raise ValueError("census needs n >= 2 and s >= 1")
     # s**n >= 2**(n * (bits(s) - 1)), so a huge power is refused unbuilt
     if n * (s.bit_length() - 1) >= budget.bit_length() or s**n > budget:
         raise ValueError(f"enumeration budget exceeded: {s}^{n} > {budget}")
     tally = dict.fromkeys((None,) + FAILURE_CLASSES, 0)
-    for masks in _block_masks(n, s):
-        tally[_mask_classify(masks, s)] += 1
-    return tally
+    if s == 1:
+        tally[None] += 1  # one block of n >= 2 elements: an increasing run
+        return tally
+    last = s - 1
+
+    def walk(d, rem, prev, part, done, pending):
+        # choose block d (0-based) from rem; prev is block d-1, part is
+        # candidate d-1 so far (block d-1 and the element of junction d-2 if
+        # it went back there), done is candidate d-2, and pending is the
+        # prefix's class unless an empty union comes later
+        sub = rem
+        while True:
+            bit = _shared_bit(prev, sub, d - 1)
+            if not bit:
+                tally[EMPTY_UNION] += (last - d) ** (rem ^ sub).bit_count()
+            else:
+                if prev & bit:
+                    cand, nxt = part, sub | bit
+                else:
+                    cand, nxt = part | bit, sub
+                cls = pending
+                if cand.bit_count() < 2:
+                    cls = SMALL_SET
+                elif cls is None and d > 1 and _endpoint_mismatch(done, cand, d - 2):
+                    cls = ENDPOINT_MISMATCH
+                if d < last:
+                    walk(d + 1, rem ^ sub, sub, nxt, cand, cls)
+                else:
+                    if nxt.bit_count() < 2:
+                        cls = SMALL_SET
+                    elif cls is None and _endpoint_mismatch(cand, nxt, d - 1):
+                        cls = ENDPOINT_MISMATCH
+                    tally[cls] += 1
+            if d == last or not sub:
+                return
+            sub = (sub - 1) & rem
+
+    full = (1 << n) - 1  # element v is bit v - 1
+    sub = full
+    while True:
+        walk(1, full ^ sub, sub, sub, 0, None)
+        if not sub:
+            return tally
+        sub = (sub - 1) & full
 
 
-def image_census(n: int, s: int, budget: int = ENUMERATION_BUDGET) -> CensusResult:
-    """Count tuples with a preimage among all s**n block tuples.
+def census_tally(n: int, s: int, budget: int = ENUMERATION_BUDGET) -> dict:
+    """Every one of the s**n block tuples by failure class, None counting the
+    tuples with a preimage.
 
     Checks the exact identity successes == 2**(s-1) * P(n,s)/2 and the
     sandwich lower bound before returning.
     """
-    successes = _census(n, s, budget)[None]
-    total = s**n
+    tally = _census(n, s, budget)
+    successes = tally[None]
     p = andre_column(n, s)[-1]
     _require(p % 2 == 0, f"P({n},{s}) is odd")
     _require(successes == (p // 2) * 2 ** (s - 1), f"census {successes} != 2^(s-2) P({n},{s})")
-    _require(bonferroni_bound(n, s) <= successes <= total, f"census {successes} out of bounds")
-    return CensusResult(successes, total)
+    _require(bonferroni_bound(n, s) <= successes <= s**n, f"census {successes} out of bounds")
+    return tally
+
+
+def image_census(n: int, s: int, budget: int = ENUMERATION_BUDGET) -> CensusResult:
+    """Count tuples with a preimage among all s**n block tuples, checked as
+    in :func:`census_tally`."""
+    return CensusResult(census_tally(n, s, budget)[None], s**n)
 
 
 def failure_census(n: int, s: int, budget: int = ENUMERATION_BUDGET) -> dict:
     """Tally of failure classes over all s**n block tuples (successes omitted)."""
-    return {c: k for c, k in _census(n, s, budget).items() if c is not None and k}
+    return {c: k for c, k in census_tally(n, s, budget).items() if c is not None and k}
 
 
 def bonferroni_bound(n: int, s: int) -> int:

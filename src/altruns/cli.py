@@ -177,14 +177,18 @@ def cmd_census(args) -> int:
     if args.s < 1:
         raise UsageError("--s must be >= 1")
     try:
-        result = bijection.image_census(args.n, args.s, args.budget)
+        if args.failures:  # the same single enumeration, all classes kept
+            tally = bijection.census_tally(args.n, args.s, args.budget)
+            result = bijection.CensusResult(tally[None], args.s**args.n)
+        else:
+            result = bijection.image_census(args.n, args.s, args.budget)
     except ValueError as e:
         raise UsageError(str(e))
     bound = bijection.bonferroni_bound(args.n, args.s)
-    text = (
+    text = [
         f"census n={args.n} s={args.s}: {result.successes} of {result.total} "
         f"block tuples have preimages (lower bound {bound})"
-    )
+    ]
     record = {
         "n": args.n,
         "s": args.s,
@@ -192,7 +196,13 @@ def cmd_census(args) -> int:
         "total": result.total,
         "bonferroni_bound": bound,
     }
-    _emit(args, [text], record, [tuple(record.values())])
+    row = tuple(record.values())
+    if args.failures:
+        failures = {c: tally[c] for c in bijection.FAILURE_CLASSES}
+        text.append("failures: " + ", ".join(f"{c} {k}" for c, k in failures.items()))
+        record["failures"] = failures
+        row += tuple(failures.values())
+    _emit(args, text, record, [row])
     return 0
 
 
@@ -489,6 +499,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--budget", type=int, default=bijection.ENUMERATION_BUDGET)
+    p.add_argument(
+        "--failures", action="store_true", help="also count the tuples without a preimage by class"
+    )
     formats(p)
     p.set_defaults(handler=cmd_census)
 

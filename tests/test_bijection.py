@@ -1,5 +1,7 @@
 import tracemalloc
+from collections import Counter
 from itertools import permutations, product
+from time import process_time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +16,7 @@ from altruns.bijection import (
     CensusResult,
     SetTuple,
     TTuple,
-    _block_masks,
+    _census,
     _mask_classify,
     bonferroni_bound,
     failure_census,
@@ -295,6 +297,35 @@ def test_mask_classifier_matches_sets(n, data):
     cand = tr.candidate
     if cand is not None:
         assert expected == _settuple_violation_by_sets(n, cand.sets)
+
+
+def _block_masks(n, s):
+    """All s**n ways to drop 1..n into s ordered blocks, as bitmask lists."""
+    for assign in product(range(s), repeat=n):
+        masks = [0] * s
+        for v, b in enumerate(assign):
+            masks[b] |= 1 << v
+        yield masks
+
+
+CENSUS_CELLS = [(n, s) for n in range(2, 8) for s in range(1, 7)]
+CENSUS_CELLS += [(8, 4), (10, 3), (2, 50), (3, 30), (4, 12)]
+
+
+@pytest.mark.parametrize("n, s", CENSUS_CELLS)
+def test_census_matches_per_tuple_classifier(n, s):
+    # the prefix walk against one classification per tuple, class by class
+    want = Counter(_mask_classify(masks, s) for masks in _block_masks(n, s))
+    got = _census(n, s, bijection.ENUMERATION_BUDGET)
+    assert {c: k for c, k in got.items() if k} == want
+
+
+def test_census_work_is_not_tuples_times_s():
+    # 4096**2 tuples at the budget edge, each with two adjacent empty blocks:
+    # the walk counts them in bulk, a block prefix at a time
+    start = process_time()
+    assert image_census(2, 4096) == CensusResult(0, 16777216)
+    assert process_time() - start < 5
 
 
 def test_image_census_cells():

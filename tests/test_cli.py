@@ -157,6 +157,28 @@ def test_census_text_and_csv(capsys):
     assert out.strip() == "5,4,128,1024,-1892"
 
 
+def test_census_failures(capsys):
+    code, out, _ = run(capsys, "census", "--n", "5", "--s", "4", "--failures")
+    assert code == 0
+    assert out.splitlines()[1] == "failures: empty_union 94, small_set 786, endpoint_mismatch 16"
+    for n, s in ((2, 1), (3, 2), (5, 4), (6, 3), (4, 5), (7, 3)):
+        argv = ("census", "--n", str(n), "--s", str(s), "--failures", "--format", "json")
+        obj = json.loads(run(capsys, *argv)[1])
+        failures = {c: int(k) for c, k in obj["failures"].items()}
+        assert list(failures) == ["empty_union", "small_set", "endpoint_mismatch"]
+        assert obj["total"] == str(s**n)
+        assert sum(failures.values()) == s**n - int(obj["successes"])
+        plain = json.loads(run(capsys, *argv[:5], "--format", "json")[1])
+        assert {k: v for k, v in obj.items() if k != "failures"} == plain
+
+
+def test_census_at_the_budget_edge(capsys):
+    code, out, _ = run(capsys, "census", "--n", "2", "--s", "4096", "--format", "json")
+    assert code == 0
+    obj = json.loads(out)
+    assert (obj["successes"], obj["total"]) == ("0", str(4096**2))
+
+
 def test_census_budget(capsys):
     code, _, err = run(capsys, "census", "--n", "8", "--s", "3", "--budget", "100")
     assert code == 2 and "budget" in err
@@ -413,6 +435,22 @@ def test_output_golden(capsys, argv):
             assert hashlib.sha256(out.encode()).hexdigest()[:16] == expected, fmt
 
 
+# sha256 (first 16 hex digits) of `census --n N --s S --failures` stdout in
+# text, json and csv; the tallies equal the per-tuple classifier's
+FAILURES_GOLDEN = {
+    (5, 4): ('e7d026a508336154', 'c6cc118e69a1c6aa', 'b7711bcb8b12e0df'),
+    (7, 3): ('23c35f4605fbee70', 'bbfeb5c1a2153cd1', '238c5c30c2877b25'),
+}
+
+
+@pytest.mark.parametrize("n, s", sorted(FAILURES_GOLDEN))
+def test_census_failures_golden(capsys, n, s):
+    for fmt, expected in zip(("text", "json", "csv"), FAILURES_GOLDEN[(n, s)]):
+        code, out, _ = run(capsys, "census", "--n", str(n), "--s", str(s), "--failures", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == expected, fmt
+
+
 VERIFY_WITH_WRONG_BRUTE_FORCE = """
 import sys
 from altruns import cli, run_counts
@@ -427,11 +465,7 @@ VERIFY_WITH_WRONG_CENSUS = """
 import sys
 from altruns import bijection, cli
 assert sys.flags.optimize, "must run under python -O"
-right = bijection._mask_classify
-def wrong(masks, s):  # never reports an endpoint mismatch
-    c = right(masks, s)
-    return None if c == bijection.ENDPOINT_MISMATCH else c
-bijection._mask_classify = wrong
+bijection._endpoint_mismatch = lambda a, b, i: False  # never reports a mismatch
 sys.exit(cli.main(["verify", "--suite", "bijection"]))
 """
 
