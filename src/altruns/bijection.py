@@ -15,12 +15,15 @@ The conditions are stated once: _shared_bit recovers the shared element at
 one junction and _endpoint_mismatch tests the endpoints at one junction.
 Reconstruction applies them junction by junction to a whole tuple; the
 census applies them once per block prefix, walking all s**n tuples as a
-tree of prefixes and counting subtrees below an empty adjacent union in
-bulk.
+tree of prefixes. It walks one first block per (size, maximum) class,
+weighted by the class size, and counts in bulk the subtrees below an empty
+adjacent union and below a small candidate.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from math import comb
 from typing import NamedTuple, Optional
 
 from .exact_algebra import _require
@@ -298,6 +301,22 @@ class CensusResult(NamedTuple):
     total: int
 
 
+def _small_set_leaves(m: int, k: int, nonempty: bool) -> int:
+    """Ways to drop m elements into k blocks with no two adjacent blocks
+    empty, where nonempty says whether the block before them holds any.
+
+    When j blocks take elements, the k - j empty ones (no two adjacent, and
+    not the first when the block before is empty too) can be placed in
+    C(j + [nonempty], k - j) ways, and the elements go onto the j others
+    in Surj(m, j) ways (inclusion-exclusion over the blocks left empty).
+    """
+    leaves = 0
+    for j in range(min(m, k) + 1):
+        onto = sum((-1) ** i * comb(j, i) * (j - i) ** m for i in range(j + 1))
+        leaves += comb(j + nonempty, k - j) * onto
+    return leaves
+
+
 def _census(n: int, s: int, budget: int) -> dict:
     """Failure classes of all s**n block tuples, None counting successes.
 
@@ -306,11 +325,23 @@ def _census(n: int, s: int, budget: int) -> dict:
     a block recovers the shared element of the junction before it, which
     completes the candidate before it; that candidate's size and the
     endpoints of the junction before that are then tested, so each test
-    runs once per prefix. A prefix with an empty adjacent union is
-    empty_union whatever follows (that class is checked first), so its
-    leaves are counted in bulk: (blocks left) ** (elements left). Two
-    adjacent empty blocks end a prefix, so the walk is at most
+    runs once per prefix. Two kinds of subtree are counted in bulk:
+
+    - below an empty adjacent union every leaf is empty_union (that class
+      is checked first): (blocks left) ** (elements left) leaves;
+    - below a small candidate every leaf is small_set unless an empty
+      adjacent union follows, which depends only on which blocks are
+      empty: _small_set_leaves splits the leaves between the two classes.
+
+    Two adjacent empty blocks end a prefix, so the walk is at most
     min(s, 2n + 2) deep.
+
+    Block 0 meets the rest only at junction 0, through its size and its
+    maximum x (candidate 0's maximum is the shared element, and its other
+    elements lie in no other candidate). The classes only compare
+    elements, so the C(x-1, t-1) first blocks of size t and maximum x have
+    equal subtrees: one, {1..t-1, x}, is walked with that weight.
+    Successes and endpoint mismatches are still visited one by one.
     """
     if n < 2 or s < 1:
         raise ValueError("census needs n >= 2 and s >= 1")
@@ -322,17 +353,19 @@ def _census(n: int, s: int, budget: int) -> dict:
         tally[None] += 1  # one block of n >= 2 elements: an increasing run
         return tally
     last = s - 1
+    small_set_leaves = cache(_small_set_leaves)
 
-    def walk(d, rem, prev, part, done, pending):
+    def walk(d, rem, prev, part, done, pending, w):
         # choose block d (0-based) from rem; prev is block d-1, part is
         # candidate d-1 so far (block d-1 and the element of junction d-2 if
-        # it went back there), done is candidate d-2, and pending is the
-        # prefix's class unless an empty union comes later
+        # it went back there), done is candidate d-2, pending is the
+        # prefix's class unless an empty union comes later (None or
+        # endpoint_mismatch), and each leaf stands for w tuples
         sub = rem
         while True:
             bit = _shared_bit(prev, sub, d - 1)
             if not bit:
-                tally[EMPTY_UNION] += (last - d) ** (rem ^ sub).bit_count()
+                tally[EMPTY_UNION] += w * (last - d) ** (rem ^ sub).bit_count()
             else:
                 if prev & bit:
                     cand, nxt = part, sub | bit
@@ -343,25 +376,30 @@ def _census(n: int, s: int, budget: int) -> dict:
                     cls = SMALL_SET
                 elif cls is None and d > 1 and _endpoint_mismatch(done, cand, d - 2):
                     cls = ENDPOINT_MISMATCH
-                if d < last:
-                    walk(d + 1, rem ^ sub, sub, nxt, cand, cls)
-                else:
+                if d == last:
                     if nxt.bit_count() < 2:
                         cls = SMALL_SET
                     elif cls is None and _endpoint_mismatch(cand, nxt, d - 1):
                         cls = ENDPOINT_MISMATCH
-                    tally[cls] += 1
+                    tally[cls] += w
+                elif cls == SMALL_SET:
+                    m = (rem ^ sub).bit_count()
+                    small = small_set_leaves(m, last - d, sub != 0)
+                    tally[SMALL_SET] += w * small
+                    tally[EMPTY_UNION] += w * ((last - d) ** m - small)
+                else:
+                    walk(d + 1, rem ^ sub, sub, nxt, cand, cls, w)
             if d == last or not sub:
                 return
             sub = (sub - 1) & rem
 
     full = (1 << n) - 1  # element v is bit v - 1
-    sub = full
-    while True:
-        walk(1, full ^ sub, sub, sub, 0, None)
-        if not sub:
-            return tally
-        sub = (sub - 1) & full
+    walk(1, full, 0, 0, 0, None, 1)  # block 0 empty
+    for x in range(1, n + 1):
+        for t in range(1, x + 1):
+            block = ((1 << (t - 1)) - 1) | (1 << (x - 1))
+            walk(1, full ^ block, block, block, 0, None, comb(x - 1, t - 1))
+    return tally
 
 
 def census_tally(n: int, s: int, budget: int = ENUMERATION_BUDGET) -> dict:

@@ -18,7 +18,9 @@ from altruns.bijection import (
     TTuple,
     _census,
     _mask_classify,
+    _small_set_leaves,
     bonferroni_bound,
+    census_tally,
     failure_census,
     image_census,
     permutation_to_settuple,
@@ -310,6 +312,7 @@ def _block_masks(n, s):
 
 CENSUS_CELLS = [(n, s) for n in range(2, 8) for s in range(1, 7)]
 CENSUS_CELLS += [(8, 4), (10, 3), (2, 50), (3, 30), (4, 12)]
+CENSUS_CELLS += [(12, 2), (9, 3), (5, 9)]
 
 
 @pytest.mark.parametrize("n, s", CENSUS_CELLS)
@@ -326,6 +329,35 @@ def test_census_work_is_not_tuples_times_s():
     start = process_time()
     assert image_census(2, 4096) == CensusResult(0, 16777216)
     assert process_time() - start < 5
+
+
+def test_small_set_leaves_matches_brute_force():
+    # every way to drop m elements into k blocks, after a block that is
+    # empty or not, against the count with no two adjacent blocks empty
+    for m in range(7):
+        for k in range(1, 7):
+            sizes = [Counter(assign) for assign in product(range(k), repeat=m)]
+            for nonempty in (False, True):
+                want = sum(
+                    (nonempty or c[0] > 0) and all(c[b] or c[b + 1] for b in range(k - 1))
+                    for c in sizes
+                )
+                assert _small_set_leaves(m, k, nonempty) == want, (m, k, nonempty)
+
+
+def test_census_at_the_budget_edge_with_two_blocks():
+    # 2**24 tuples, almost all successes: first blocks grouped by size and
+    # maximum leave a few hundred leaves to visit
+    start = process_time()
+    assert image_census(24, 2) == CensusResult(2**24 - 4, 2**24)
+    assert process_time() - start < 1
+
+
+def test_census_tally_four_blocks_at_the_budget():
+    # 4**12 = 2**24 tuples; census_tally checks the identity inside
+    tally = census_tally(12, 4)
+    assert sum(tally.values()) == 4**12
+    assert tally[None] == (andre_triangle(12).value(12, 4) // 2) * 2**3
 
 
 def test_image_census_cells():
