@@ -317,7 +317,7 @@ def _small_set_leaves(m: int, k: int, nonempty: bool) -> int:
     return leaves
 
 
-def _census(n: int, s: int, budget: int) -> dict:
+def _census(n: int, s: int) -> dict:
     """Failure classes of all s**n block tuples, None counting successes.
 
     Walks block prefixes left to right, each block a submask of the
@@ -346,8 +346,8 @@ def _census(n: int, s: int, budget: int) -> dict:
     if n < 2 or s < 1:
         raise ValueError("census needs n >= 2 and s >= 1")
     # s**n >= 2**(n * (bits(s) - 1)), so a huge power is refused unbuilt
-    if n * (s.bit_length() - 1) >= budget.bit_length() or s**n > budget:
-        raise ValueError(f"enumeration budget exceeded: {s}^{n} > {budget}")
+    if n * (s.bit_length() - 1) >= ENUMERATION_BUDGET.bit_length() or s**n > ENUMERATION_BUDGET:
+        raise ValueError(f"enumeration budget exceeded: {s}^{n} > {ENUMERATION_BUDGET}")
     tally = dict.fromkeys((None,) + FAILURE_CLASSES, 0)
     if s == 1:
         tally[None] += 1  # one block of n >= 2 elements: an increasing run
@@ -402,14 +402,14 @@ def _census(n: int, s: int, budget: int) -> dict:
     return tally
 
 
-def census_tally(n: int, s: int, budget: int = ENUMERATION_BUDGET) -> dict:
+def census_tally(n: int, s: int) -> dict:
     """Every one of the s**n block tuples by failure class, None counting the
     tuples with a preimage.
 
     Checks the exact identity successes == 2**(s-1) * P(n,s)/2 and the
     sandwich lower bound before returning.
     """
-    tally = _census(n, s, budget)
+    tally = _census(n, s)
     successes = tally[None]
     p = andre_column(n, s)[-1]
     _require(p % 2 == 0, f"P({n},{s}) is odd")
@@ -418,15 +418,10 @@ def census_tally(n: int, s: int, budget: int = ENUMERATION_BUDGET) -> dict:
     return tally
 
 
-def image_census(n: int, s: int, budget: int = ENUMERATION_BUDGET) -> CensusResult:
+def image_census(n: int, s: int) -> CensusResult:
     """Count tuples with a preimage among all s**n block tuples, checked as
     in :func:`census_tally`."""
-    return CensusResult(census_tally(n, s, budget)[None], s**n)
-
-
-def failure_census(n: int, s: int, budget: int = ENUMERATION_BUDGET) -> dict:
-    """Tally of failure classes over all s**n block tuples (successes omitted)."""
-    return {c: k for c, k in census_tally(n, s, budget).items() if c is not None and k}
+    return CensusResult(census_tally(n, s)[None], s**n)
 
 
 def bonferroni_bound(n: int, s: int) -> int:

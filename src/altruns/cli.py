@@ -82,7 +82,7 @@ def cmd_table(args) -> int:
     return 0
 
 
-def _count_value(n: int, s: int, method: str, budget: int) -> int:
+def _count_value(n: int, s: int, method: str) -> int:
     if method == "brute":
         if n > run_counts.BRUTE_FORCE_MAX_N:
             raise UsageError(f"brute force supports n <= {run_counts.BRUTE_FORCE_MAX_N}")
@@ -105,7 +105,7 @@ def _count_value(n: int, s: int, method: str, budget: int) -> int:
             raise UsageError(str(e))
     if method == "census":
         try:
-            successes = bijection.image_census(n, s, budget).successes
+            successes = bijection.image_census(n, s).successes
         except ValueError as e:
             raise UsageError(str(e))
         _require(successes * 4 % 2**s == 0, f"{successes} census successes, not 2^(s-2) * P")
@@ -118,7 +118,7 @@ def cmd_count(args) -> int:
         raise UsageError(f"--n must be between 2 and {MAX_COUNT_N}")
     if args.s < 1:
         raise UsageError("--s must be >= 1")
-    value = _count_value(args.n, args.s, args.method, args.budget)
+    value = _count_value(args.n, args.s, args.method)
     record = {"n": args.n, "s": args.s, "method": args.method, "value": value}
     _emit(args, [str(value)], record, [(args.n, args.s, value)])
     return 0
@@ -178,10 +178,10 @@ def cmd_census(args) -> int:
         raise UsageError("--s must be >= 1")
     try:
         if args.failures:  # the same single enumeration, all classes kept
-            tally = bijection.census_tally(args.n, args.s, args.budget)
+            tally = bijection.census_tally(args.n, args.s)
             result = bijection.CensusResult(tally[None], args.s**args.n)
         else:
-            result = bijection.image_census(args.n, args.s, args.budget)
+            result = bijection.image_census(args.n, args.s)
     except ValueError as e:
         raise UsageError(str(e))
     bound = bijection.bonferroni_bound(args.n, args.s)
@@ -475,7 +475,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--method", choices=METHODS, default="recurrence")
-    p.add_argument("--budget", type=int, default=bijection.ENUMERATION_BUDGET)
     formats(p)
     p.set_defaults(handler=cmd_count)
 
@@ -497,7 +496,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="count block tuples with preimages")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("--budget", type=int, default=bijection.ENUMERATION_BUDGET)
     p.add_argument(
         "--failures", action="store_true", help="also count the tuples without a preimage by class"
     )

@@ -26,8 +26,10 @@ def _require(cond, msg: str) -> None:
         raise ArithmeticError(msg)
 
 
-def _exact(c):  # any number but an int or a Fraction becomes its exact Fraction
-    return c if isinstance(c, (int, Fraction)) else Fraction(c)
+def _exact(c):  # ints and Fractions only: a float would carry its rounding in
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"exact arithmetic takes ints and Fractions, not {type(c).__name__}")
+    return c
 
 
 def poly(coeffs) -> Poly:

@@ -114,15 +114,7 @@ def build_us(s_max: int) -> list:
     return out
 
 
-@dataclass(frozen=True)
-class DegreeReport:
-    s: int
-    numerator_degree: int
-    denominator_degree: int
-    lowest_numerator_degree: int
-
-
-def degree_audit(u: UsFunction) -> DegreeReport:
+def degree_audit(u: UsFunction) -> None:
     """Check every degree claim for one level; raises on any mismatch.
 
     Numerator degree must equal 1 + ceil(s(s+2)/4), match the assembly
@@ -145,37 +137,20 @@ def degree_audit(u: UsFunction) -> DegreeReport:
         raise ArithmeticError(f"recurrence degree {_recurrence_degree(s)} != {nd} at s={s}")
     if low != s + 1:
         raise ArithmeticError(f"lowest numerator term x^{low}, expected x^{s + 1} at s={s}")
-    return DegreeReport(s, nd, dd, low)
 
 
-@dataclass(frozen=True)
-class RatioReport:
-    s: int
-    first_degree: int
-    second_degree: int
+def _gap_product(s: int, gaps) -> tuple:
+    """prod over the gaps j of (1 - (s-j)x), expanded."""
+    return denominator_expand({s - j: 1 for j in gaps})
 
 
-def _even_gap_product(s: int):
-    out = ONE
-    for j in range(2, s, 2):
-        out = poly_mul(out, poly((1, -(s - j))))
-    return out
-
-
-def _full_gap_product(s: int):
-    out = ONE
-    for j in range(1, s):
-        out = poly_mul(out, poly((1, -(s - j))))
-    return out
-
-
-def ratio_identities_check(s: int) -> RatioReport:
+def ratio_identities_check(s: int) -> None:
     """Verify the two denominator ratios used when assembling level s.
 
     delta(s) / ((1-sx) delta(s-1)) must equal prod over even gaps j of
     (1-(s-j)x), a polynomial of degree floor((s-1)/2); and
     delta(s) / ((1-sx) delta(s-2)) must equal the full product over
-    j = 1..s-1, of degree s-1. Both divisions must be exact.
+    j = 1..s-1, of degree s-1. Both divisions must be exact; raises otherwise.
     """
     if s < 2:
         raise ValueError("ratio identities apply from s=2")
@@ -183,19 +158,17 @@ def ratio_identities_check(s: int) -> RatioReport:
 
     den1 = poly_mul(poly((1, -s)), denominator_expand(delta(s - 1)))
     q1, r1 = poly_divrem(num, den1)
-    if r1 or q1 != _even_gap_product(s):
+    if r1 or q1 != _gap_product(s, range(2, s, 2)):
         raise ArithmeticError(f"first denominator ratio broke at s={s}")
 
     low = ONE if s == 2 else denominator_expand(delta(s - 2))
     den2 = poly_mul(poly((1, -s)), low)
     q2, r2 = poly_divrem(num, den2)
-    if r2 or q2 != _full_gap_product(s):
+    if r2 or q2 != _gap_product(s, range(1, s)):
         raise ArithmeticError(f"second denominator ratio broke at s={s}")
 
-    report = RatioReport(s, degree(q1), degree(q2))
-    _require(report.first_degree == (s - 1) // 2, f"first ratio at s={s} has the wrong degree")
-    _require(report.second_degree == s - 1, f"second ratio at s={s} has the wrong degree")
-    return report
+    _require(degree(q1) == (s - 1) // 2, f"first ratio at s={s} has the wrong degree")
+    _require(degree(q2) == s - 1, f"second ratio at s={s} has the wrong degree")
 
 
 def assembly_term_degrees(us: list, s: int) -> tuple:
@@ -210,16 +183,13 @@ def assembly_term_degrees(us: list, s: int) -> tuple:
         raise ValueError("need 2 <= s <= built levels")
     n1 = us[s - 1].ratfun.numerator
     n2 = us[s - 2].ratfun.numerator
-    r1 = _even_gap_product(s)
-    r2 = _full_gap_product(s)
+    r1 = _gap_product(s, range(2, s, 2))
+    r2 = _gap_product(s, range(1, s))
     t1 = poly_mul(poly((0, 2)), poly_mul(n1, r1))
     t2 = poly_mul(poly((0, 0, 1)), poly_mul(poly_derivative(n2), r2))
     correction = ZERO
     for j in range(2, s):
-        part = ONE
-        for l in range(1, s):
-            if l != j:
-                part = poly_mul(part, poly((1, -(s - l))))
+        part = _gap_product(s, (l for l in range(1, s) if l != j))
         correction = poly_add(correction, poly_scale(part, epsilon(j - 2) * (s - j)))
     t3 = poly_mul(poly((0, 0, 1)), poly_mul(n2, correction))
     t4 = poly_mul(poly((0, -(s - 1))), poly_mul(n2, r2))

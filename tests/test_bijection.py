@@ -21,7 +21,6 @@ from altruns.bijection import (
     _small_set_leaves,
     bonferroni_bound,
     census_tally,
-    failure_census,
     image_census,
     permutation_to_settuple,
     phi,
@@ -319,7 +318,7 @@ CENSUS_CELLS += [(12, 2), (9, 3), (5, 9)]
 def test_census_matches_per_tuple_classifier(n, s):
     # the prefix walk against one classification per tuple, class by class
     want = Counter(_mask_classify(masks, s) for masks in _block_masks(n, s))
-    got = _census(n, s, bijection.ENUMERATION_BUDGET)
+    got = _census(n, s)
     assert {c: k for c, k in got.items() if k} == want
 
 
@@ -369,10 +368,14 @@ def test_image_census_cells():
 
 
 def test_image_census_budget():
-    with pytest.raises(ValueError, match="budget"):
-        image_census(25, 2)
-    with pytest.raises(ValueError, match="budget"):
-        image_census(8, 3, budget=100)
+    # the cap is 2**24 tuples: 4096**2 and 2**24 are in, one more block or
+    # one more element is out
+    assert image_census(2, 4096).total == 2**24
+    assert image_census(24, 2).total == 2**24
+    for n, s in ((2, 4097), (25, 2)):
+        with pytest.raises(ValueError, match="budget") as err:
+            image_census(n, s)
+        assert str(err.value) == f"enumeration budget exceeded: {s}^{n} > 16777216"
     with pytest.raises(ValueError):
         image_census(1, 1)
 
@@ -380,7 +383,7 @@ def test_image_census_budget():
 def test_census_budget_is_checked_before_the_power():
     tracemalloc.start()
     try:
-        for census in (image_census, failure_census):
+        for census in (image_census, census_tally):
             with pytest.raises(ValueError, match="budget") as err:
                 census(16_000_000, 3)
             assert str(err.value) == "enumeration budget exceeded: 3^16000000 > 16777216"
@@ -388,12 +391,6 @@ def test_census_budget_is_checked_before_the_power():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20  # 3**16000000 alone takes about 3 MB
-    assert image_census(3, 2, budget=8) == CensusResult(4, 8)
-    with pytest.raises(ValueError, match="budget"):
-        image_census(3, 2, budget=7)
-    assert image_census(5, 1, budget=1) == CensusResult(1, 1)
-    with pytest.raises(ValueError, match="budget"):
-        image_census(5, 1, budget=0)
 
 
 def test_image_census_reads_one_column(monkeypatch):
@@ -405,21 +402,26 @@ def test_image_census_reads_one_column(monkeypatch):
     assert image_census(6, 3) == CensusResult(472, 729)
 
 
+def failures(n, s):
+    """The nonzero failure classes of census_tally (successes dropped)."""
+    return {c: k for c, k in census_tally(n, s).items() if c is not None and k}
+
+
 def test_failure_census_frozen_cells():
-    assert failure_census(6, 3) == {
+    assert failures(6, 3) == {
         EMPTY_UNION: 2,
         SMALL_SET: 252,
         ENDPOINT_MISMATCH: 3,
     }
-    assert failure_census(8, 3)[ENDPOINT_MISMATCH] == 5
-    tally = failure_census(3, 2)
+    assert failures(8, 3)[ENDPOINT_MISMATCH] == 5
+    tally = failures(3, 2)
     assert tally == {SMALL_SET: 4}
-    assert set(failure_census(6, 4)) <= set(FAILURE_CLASSES)
+    assert set(failures(6, 4)) <= set(FAILURE_CLASSES)
 
 
 def test_failure_census_totals():
     for n, s in ((4, 2), (5, 3), (6, 4), (7, 3)):
-        tally = failure_census(n, s)
+        tally = failures(n, s)
         successes = image_census(n, s).successes
         assert successes + sum(tally.values()) == s**n
 
@@ -435,7 +437,7 @@ def test_sufficiency_of_large_blocks():
 def test_nonadjacent_overlap_never_surfaces():
     # a gap-2 overlap forces a singleton block, which is reported first
     for n, s in ((5, 3), (6, 3), (6, 4), (7, 4)):
-        assert NONADJACENT_OVERLAP not in failure_census(n, s)
+        assert NONADJACENT_OVERLAP not in failures(n, s)
 
 
 def test_bonferroni_values():

@@ -180,8 +180,17 @@ def test_census_at_the_budget_edge(capsys):
 
 
 def test_census_budget(capsys):
-    code, _, err = run(capsys, "census", "--n", "8", "--s", "3", "--budget", "100")
-    assert code == 2 and "budget" in err
+    code, out, err = run(capsys, "census", "--n", "25", "--s", "2")
+    assert (code, out) == (2, "")
+    assert "enumeration budget exceeded: 2^25 > 16777216" in err
+
+
+def test_budget_is_not_an_option(capsys):
+    # the cap is fixed; --budget is refused as an unknown argument
+    for command, n, s in (("count", "7", "4"), ("census", "30", "3")):
+        code, out, err = run(capsys, command, "--n", n, "--s", s, "--budget", "5")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --budget 5" in err
 
 
 def test_census_n_is_capped(capsys):

@@ -57,6 +57,15 @@ def test_poly_normalization():
     assert degree((1, 2, 3)) == 2
 
 
+def test_floats_are_refused():
+    # 0.1 would otherwise become 3602879701896397/36028797018963968
+    with pytest.raises(TypeError, match="float"):
+        poly((0.5,))
+    with pytest.raises(TypeError, match="float"):
+        poly_eval((1, 1), 0.5)
+    assert poly_eval((1, 1), Fraction(1, 2)) == Fraction(3, 2)
+
+
 def test_poly_basic_ops():
     a = poly((1, 2))
     b = poly((3, 0, 1))

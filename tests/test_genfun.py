@@ -65,10 +65,11 @@ def test_series_match_triangle():
 
 def test_degree_audit_levels():
     for u in build_us(12)[1:]:
-        report = degree_audit(u)
-        assert report.numerator_degree == report.denominator_degree + 1
-        assert report.lowest_numerator_degree == report.s + 1
-    assert degree_audit(build_us(4)[4]).numerator_degree == 7
+        degree_audit(u)  # raises on any mismatch
+        num = u.ratfun.numerator
+        assert degree(num) == denominator_degree(u.ratfun.denominator) + 1
+        assert next(i for i, c in enumerate(num) if c) == u.s + 1
+    assert degree(build_us(4)[4].ratfun.numerator) == 7
 
 
 def test_degree_audit_rejects_wrong_shape():
@@ -79,11 +80,21 @@ def test_degree_audit_rejects_wrong_shape():
 
 def test_ratio_identities():
     for s in range(2, 13):
-        report = ratio_identities_check(s)
-        assert report.first_degree == (s - 1) // 2
-        assert report.second_degree == s - 1
+        ratio_identities_check(s)  # both ratios and their degrees, or raises
     with pytest.raises(ValueError):
         ratio_identities_check(1)
+
+
+def test_ratio_identities_catch_a_degree_preserving_fault(monkeypatch):
+    # reversed multiplicities keep every degree of delta(s) but move its
+    # factors, so the exact ratios must break
+    def reversed_delta(s):
+        return factored_denominator({s - i: epsilon(s - 1 - i) for i in range(s)})
+
+    monkeypatch.setattr(genfun, "delta", reversed_delta)
+    for s in range(3, 9):
+        with pytest.raises(ArithmeticError):
+            ratio_identities_check(s)
 
 
 def test_assembly_terms():
