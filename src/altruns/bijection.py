@@ -11,18 +11,18 @@ there are exactly s**n. Reconstruction inverts the map where a preimage
 exists; counting its successes over all s**n tuples pins the constant in the
 leading-term estimate of the run-count triangle.
 
-The conditions are stated once: _shared_bit recovers the shared element at
-one junction and _endpoint_mismatch tests the endpoints at one junction.
-Reconstruction applies them junction by junction to a whole tuple; the
-census applies them once per block prefix, walking all s**n tuples as a
-tree of prefixes. It walks one first block per (size, maximum) class,
-weighted by the class size, and counts in bulk the subtrees below an empty
-adjacent union and below a small candidate.
+Reconstruction states the conditions once: _shared_bit recovers the shared
+element at one junction and _endpoint_mismatch tests the endpoints at one
+junction, applied junction by junction to a whole tuple. The census counts
+all s**n tuples by class without visiting them: the classes have a local
+form in block extremes, empty blocks and singletons (see _census), so a
+transfer over blocks, left to right, counts each class from a few numbers
+per prefix.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -301,47 +301,33 @@ class CensusResult(NamedTuple):
     total: int
 
 
-def _small_set_leaves(m: int, k: int, nonempty: bool) -> int:
-    """Ways to drop m elements into k blocks with no two adjacent blocks
-    empty, where nonempty says whether the block before them holds any.
-
-    When j blocks take elements, the k - j empty ones (no two adjacent, and
-    not the first when the block before is empty too) can be placed in
-    C(j + [nonempty], k - j) ways, and the elements go onto the j others
-    in Surj(m, j) ways (inclusion-exclusion over the blocks left empty).
-    """
-    leaves = 0
-    for j in range(min(m, k) + 1):
-        onto = sum((-1) ** i * comb(j, i) * (j - i) ** m for i in range(j + 1))
-        leaves += comb(j + nonempty, k - j) * onto
-    return leaves
-
-
 def _census(n: int, s: int) -> dict:
     """Failure classes of all s**n block tuples, None counting successes.
 
-    Walks block prefixes left to right, each block a submask of the
-    elements not yet placed and the last block forced to the rest. Choosing
-    a block recovers the shared element of the junction before it, which
-    completes the candidate before it; that candidate's size and the
-    endpoints of the junction before that are then tested, so each test
-    runs once per prefix. Two kinds of subtree are counted in bulk:
+    The classes are local. Junction j of blocks T_0..T_{s-1} takes the max
+    at even j and the min at odd j; an element beats another at junction j
+    when it is greater (even j) or smaller (odd j). The first rule that
+    applies gives the class:
 
-    - below an empty adjacent union every leaf is empty_union (that class
-      is checked first): (blocks left) ** (elements left) leaves;
-    - below a small candidate every leaf is small_set unless an empty
-      adjacent union follows, which depends only on which blocks are
-      empty: _small_set_leaves splits the leaves between the two classes.
+    - empty_union: two adjacent blocks are empty;
+    - small_set: an end block is empty, or candidate d of a singleton
+      T_d = {x} is {x}: x beats T_{d-1}'s extreme at junction d-1 and
+      T_{d+1}'s at junction d, a missing or empty neighbour counting as
+      beaten;
+    - endpoint_mismatch: at an interior empty block T_d, T_{d-1}'s extreme
+      at junction d-1 beats T_{d+1}'s at junction d (the zigzag breaks);
+    - otherwise a success.
 
-    Two adjacent empty blocks end a prefix, so the walk is at most
-    min(s, 2n + 2) deep.
-
-    Block 0 meets the rest only at junction 0, through its size and its
-    maximum x (candidate 0's maximum is the shared element, and its other
-    elements lie in no other candidate). The classes only compare
-    elements, so the C(x-1, t-1) first blocks of size t and maximum x have
-    equal subtrees: one, {1..t-1, x}, is walked with that weight.
-    Successes and endpoint mismatches are still visited one by one.
+    So the count runs over blocks left to right. The state after block d
+    is the number m of elements left, the rank r among them of the carried
+    extreme (T_d's at junction d, or T_{d-1}'s when T_d is empty), the kind
+    of T_d (empty, a singleton that can still be small, other) and the
+    class so far. Ranks run in the order in which junction d takes the max,
+    reversed at each step, so every test is "greater". C(b-a-1, k-2) blocks
+    of k elements have min rank a and max rank b; over all b that makes
+    C(m-1-a, k-1), of which C(r-1-a, k-1) lie below the carried extreme.
+    The last block takes the rest; two adjacent empty blocks leave
+    (blocks left) ** m empty_union tuples. P(n, s) is never read.
     """
     if n < 2 or s < 1:
         raise ValueError("census needs n >= 2 and s >= 1")
@@ -349,56 +335,36 @@ def _census(n: int, s: int) -> dict:
     if n * (s.bit_length() - 1) >= ENUMERATION_BUDGET.bit_length() or s**n > ENUMERATION_BUDGET:
         raise ValueError(f"enumeration budget exceeded: {s}^{n} > {ENUMERATION_BUDGET}")
     tally = dict.fromkeys((None,) + FAILURE_CLASSES, 0)
-    if s == 1:
-        tally[None] += 1  # one block of n >= 2 elements: an increasing run
-        return tally
-    last = s - 1
-    small_set_leaves = cache(_small_set_leaves)
-
-    def walk(d, rem, prev, part, done, pending, w):
-        # choose block d (0-based) from rem; prev is block d-1, part is
-        # candidate d-1 so far (block d-1 and the element of junction d-2 if
-        # it went back there), done is candidate d-2, pending is the
-        # prefix's class unless an empty union comes later (None or
-        # endpoint_mismatch), and each leaf stands for w tuples
-        sub = rem
-        while True:
-            bit = _shared_bit(prev, sub, d - 1)
-            if not bit:
-                tally[EMPTY_UNION] += w * (last - d) ** (rem ^ sub).bit_count()
-            else:
-                if prev & bit:
-                    cand, nxt = part, sub | bit
+    classes = (None, ENDPOINT_MISMATCH, SMALL_SET)  # the class so far, by precedence
+    empty, single, other = range(3)  # kinds of block d
+    states = {(n, 0, other, 0): 1}  # (m, r, kind, class) -> prefixes; nothing carried yet
+    for d in range(s):
+        last = d == s - 1
+        nxt = defaultdict(int)
+        for (m, r, kind, cls), w in states.items():
+            if m == 0 or not last:  # block d empty
+                if kind == empty:
+                    tally[EMPTY_UNION] += w * (s - 1 - d) ** m
                 else:
-                    cand, nxt = part | bit, sub
-                cls = pending
-                if cand.bit_count() < 2:
-                    cls = SMALL_SET
-                elif cls is None and d > 1 and _endpoint_mismatch(done, cand, d - 2):
-                    cls = ENDPOINT_MISMATCH
-                if d == last:
-                    if nxt.bit_count() < 2:
-                        cls = SMALL_SET
-                    elif cls is None and _endpoint_mismatch(cand, nxt, d - 1):
-                        cls = ENDPOINT_MISMATCH
-                    tally[cls] += w
-                elif cls == SMALL_SET:
-                    m = (rem ^ sub).bit_count()
-                    small = small_set_leaves(m, last - d, sub != 0)
-                    tally[SMALL_SET] += w * small
-                    tally[EMPTY_UNION] += w * ((last - d) ** m - small)
-                else:
-                    walk(d + 1, rem ^ sub, sub, nxt, cand, cls, w)
-            if d == last or not sub:
-                return
-            sub = (sub - 1) & rem
-
-    full = (1 << n) - 1  # element v is bit v - 1
-    walk(1, full, 0, 0, 0, None, 1)  # block 0 empty
-    for x in range(1, n + 1):
-        for t in range(1, x + 1):
-            block = ((1 << (t - 1)) - 1) | (1 << (x - 1))
-            walk(1, full ^ block, block, block, 0, None, comb(x - 1, t - 1))
+                    nxt[m, m - r, empty, 2 if kind == single or d == 0 else cls] += w
+            # block d with min rank a and k elements
+            for a in range(min(m, 1) if last else m):
+                for k in range(m - a if last else 1, m - a + 1):
+                    rest = m - k  # the block's min, ranked from the top, is carried on
+                    # the carried extreme beats the block's max: the singleton
+                    # before stays small, the empty block before mismatches
+                    low = comb(r - 1 - a, k - 1) if r > a else 0
+                    if low:
+                        beaten = 2 if kind == single else max(cls, 1) if kind == empty else cls
+                        still = single if k == 1 and kind == empty else other
+                        nxt[rest, rest - a, still, beaten] += w * low
+                    high = comb(m - 1 - a, k - 1) - low
+                    if high:
+                        nxt[rest, rest - a, single if k == 1 else other, cls] += w * high
+        states = nxt
+    for (_, _, kind, cls), w in states.items():
+        # an empty or singleton last block left in the state is a small set
+        tally[classes[cls if kind == other else 2]] += w
     return tally
 
 

@@ -381,7 +381,18 @@ def _check_census():
     cells += [(8, 2), (8, 3), (10, 2), (10, 3), (12, 3), (24, 2)]
     for n, s in cells:
         bijection.image_census(n, s)  # identity and sandwich checked inside
-    return f"{len(cells)} cells"
+    # the census states the classes in a local form of its own; hold it
+    # against reconstruction's classifier, one tuple at a time
+    for n, s in ((6, 3), (5, 4)):
+        by_tuple = dict.fromkeys((None,) + bijection.FAILURE_CLASSES, 0)
+        for assign in product(range(s), repeat=n):
+            masks = [0] * s
+            for v, b in enumerate(assign):
+                masks[b] |= 1 << v
+            by_tuple[bijection._mask_classify(masks, s)] += 1
+        agree = by_tuple == bijection.census_tally(n, s)
+        _require(agree, f"census and reconstruction differ at n={n}, s={s}")
+    return f"{len(cells)} cells, two of them tuple by tuple"
 
 
 def _check_failure_classes():

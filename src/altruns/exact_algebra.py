@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 Poly = tuple  # dense coefficient tuple, constant term first
 FactorMap = tuple  # ((k, e), ...) sorted by decreasing k
@@ -289,11 +288,6 @@ def reassemble(pfe: PartialFractionExpansion) -> RationalFunction:
         shrunk[k] -= m
         num = poly_add(num, poly_scale(denominator_expand(shrunk), c))
     return rational_function(num, den)
-
-
-def pole_term_coefficient(k: int, m: int, c, n: int):
-    """Coefficient of x**n in c / (1 - k*x)**m, i.e. c * C(n+m-1, m-1) * k**n."""
-    return Fraction(c) * comb(n + m - 1, m - 1) * k**n
 
 
 def _sign(x) -> int:

@@ -18,7 +18,6 @@ from altruns.bijection import (
     TTuple,
     _census,
     _mask_classify,
-    _small_set_leaves,
     bonferroni_bound,
     census_tally,
     image_census,
@@ -316,7 +315,7 @@ CENSUS_CELLS += [(12, 2), (9, 3), (5, 9)]
 
 @pytest.mark.parametrize("n, s", CENSUS_CELLS)
 def test_census_matches_per_tuple_classifier(n, s):
-    # the prefix walk against one classification per tuple, class by class
+    # the transfer count against one classification per tuple, class by class
     want = Counter(_mask_classify(masks, s) for masks in _block_masks(n, s))
     got = _census(n, s)
     assert {c: k for c, k in got.items() if k} == want
@@ -324,32 +323,27 @@ def test_census_matches_per_tuple_classifier(n, s):
 
 def test_census_work_is_not_tuples_times_s():
     # 4096**2 tuples at the budget edge, each with two adjacent empty blocks:
-    # the walk counts them in bulk, a block prefix at a time
+    # the count meets them a prefix state at a time, not a tuple at a time
     start = process_time()
     assert image_census(2, 4096) == CensusResult(0, 16777216)
     assert process_time() - start < 5
 
 
-def test_small_set_leaves_matches_brute_force():
-    # every way to drop m elements into k blocks, after a block that is
-    # empty or not, against the count with no two adjacent blocks empty
-    for m in range(7):
-        for k in range(1, 7):
-            sizes = [Counter(assign) for assign in product(range(k), repeat=m)]
-            for nonempty in (False, True):
-                want = sum(
-                    (nonempty or c[0] > 0) and all(c[b] or c[b + 1] for b in range(k - 1))
-                    for c in sizes
-                )
-                assert _small_set_leaves(m, k, nonempty) == want, (m, k, nonempty)
-
-
 def test_census_at_the_budget_edge_with_two_blocks():
-    # 2**24 tuples, almost all successes: first blocks grouped by size and
-    # maximum leave a few hundred leaves to visit
+    # 2**24 tuples, almost all successes: the count sums over the first
+    # block's min rank and size, a few hundred states, not over the tuples
     start = process_time()
     assert image_census(24, 2) == CensusResult(2**24 - 4, 2**24)
     assert process_time() - start < 1
+
+
+def test_census_tally_every_cell_under_the_budget():
+    # every cell with 2 <= s <= 12 and s**n <= 2**24; census_tally checks
+    # the identity against the column and the sandwich inside
+    cells = [(n, s) for s in range(2, 13) for n in range(2, 25) if s**n <= 2**24]
+    assert len(cells) == 101
+    for n, s in cells:
+        assert sum(census_tally(n, s).values()) == s**n, (n, s)
 
 
 def test_census_tally_four_blocks_at_the_budget():
