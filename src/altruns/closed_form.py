@@ -60,20 +60,13 @@ class ClosedFormFormula:
     validity_floor: int
 
 
-def _binomial_in_n(m: int) -> Poly:
-    # C(n+m-1, m-1) as a polynomial in n
-    out = ONE
-    for t in range(1, m):
-        out = poly_mul(out, poly((t, 1)))
-    return poly_scale(out, Fraction(1, factorial(m - 1)))
-
-
 def formula_from_pfd(s: int, us: UsFunction = None) -> ClosedFormFormula:
     """Exact formula for column s, from the generating function's expansion.
 
     The term c/(1-kx)**m contributes c*C(n+m-1,m-1)*k**n, so grouping terms
-    by pole base k = s-i yields psi_i directly. The polynomial part of the
-    expansion only disturbs coefficients below the validity floor.
+    by pole base k = s-i yields psi_i directly; each group is summed in
+    integers over one denominator. The polynomial part of the expansion only
+    disturbs coefficients below the validity floor.
     """
     if s < 1:
         raise ValueError("levels start at s=1")
@@ -81,16 +74,28 @@ def formula_from_pfd(s: int, us: UsFunction = None) -> ClosedFormFormula:
         us = build_us(s)[s]
     _require(us.s == s, f"u_{us.s} given for level {s}")
     pfe = partial_fractions(us.ratfun)
-    groups = {i: ZERO for i in range(s)}
+    rising = [ONE]  # rising[m-1] = (n+1)...(n+m-1) = (m-1)! C(n+m-1, m-1)
+    groups = {i: [] for i in range(s)}
     for k, m, c in pfe.pole_terms:
         i = s - k
         if not 0 <= i < s:
             raise ArithmeticError(f"pole base {k} outside 1..{s}")
-        groups[i] = poly_add(groups[i], poly_scale(_binomial_in_n(m), c))
-    psis = tuple(PsiPolynomial(i, s, groups[i]) for i in range(s))
+        while len(rising) < m:
+            rising.append(poly_mul(rising[-1], (len(rising), 1)))
+        groups[i].append((c / factorial(m - 1), rising[m - 1]))
+    psis = []
+    for i, terms in groups.items():
+        # psi_i as integers over the lcm of its weights' denominators
+        den = lcm(*(w.denominator for w, _ in terms))
+        acc = [0] * max((len(p) for _, p in terms), default=0)
+        for w, p in terms:
+            lift = w.numerator * (den // w.denominator)
+            for j, x in enumerate(p):
+                acc[j] += lift * x
+        psis.append(PsiPolynomial(i, s, tuple(Fraction(x, den) for x in acc)))
     _require(psis[0].coeffs_in_n == (k_constant(s),), f"psi_0 at s={s} is not K(s)")
     floor = max(2, degree(pfe.poly_part) + 1)
-    return ClosedFormFormula(s, psis, floor)
+    return ClosedFormFormula(s, tuple(psis), floor)
 
 
 def psi_from_recurrence(s: int, i_max: int) -> list:
@@ -143,17 +148,15 @@ def psi_from_recurrence(s: int, i_max: int) -> list:
 
 
 def evaluate_closed_form(f: ClosedFormFormula, n: int) -> int:
-    """P(n, s) by the formula. Refuses n below the floor and cells with
-    s >= n, where the column is outside the triangle."""
+    """P(n, s) by the formula. Refuses n below the floor. At s >= n the cell
+    lies outside the triangle, and the formula must sum to 0 there."""
     if n < f.validity_floor:
         raise ValueError(f"n={n} is below the validity floor {f.validity_floor}")
-    if f.s >= n:
-        raise ValueError(f"column s={f.s} requires n > s; evaluate a lower column at n={n}")
     total = Fraction(0)
     for p in f.psi:
         total += poly_eval(p.coeffs_in_n, n) * Fraction(f.s - p.i) ** n
-    if total.denominator != 1:
-        raise ArithmeticError("formula/floor mismatch")
+    _require(total.denominator == 1, "formula/floor mismatch")
+    _require(f.s < n or total == 0, f"the formula for s={f.s} is not 0 at n={n}")
     return int(total)
 
 

@@ -5,12 +5,16 @@ Polynomials are dense coefficient tuples, ints until a division makes a
 is nonzero, and the zero polynomial is the empty tuple. Denominators stay in
 the factored form prod (1 - k*x)**e with integer k >= 1, so every pole is
 known exactly and cancellation and partial fractions are synthetic division,
-not root finding. Real-root counting uses exact Sturm chains.
+not root finding. Partial fractions peel in integers over one common
+denominator; a ``Fraction`` appears only for each returned constant. Real-root
+counting uses exact Sturm chains.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd, lcm
 
 Poly = tuple  # dense coefficient tuple, constant term first
 FactorMap = tuple  # ((k, e), ...) sorted by decreasing k
@@ -250,30 +254,54 @@ class PartialFractionExpansion:
     poly_part: Poly
 
 
+def _at_pole(p, k: int) -> int:
+    # k**(len(p)-1) * p(1/k) by Horner: the last carry of p / (1 - k*x)
+    acc = 0
+    for c in p:
+        acc = acc * k + c
+    return acc
+
+
 def partial_fractions(f: RationalFunction) -> PartialFractionExpansion:
+    """Peel the pole terms off f, by decreasing k and then decreasing power.
+
+    The remainder is an integer Poly r over one common denominator d. At the
+    term c/(1-kx)**m with cofactor b, the factors not yet peeled, the constant
+    is c = r(1/k) / (d b(1/k)); then r*den(c) - d*num(c)*b vanishes at 1/k, is
+    deflated by (1 - kx) and the gcd of d and r is divided out. Each b is the
+    previous one deflated by its pole. What the last pole leaves is the
+    polynomial part.
+    """
     if not f.denominator:
         return PartialFractionExpansion((), f.numerator)
-    den_full = denominator_expand(f.denominator)
-    if degree(f.numerator) >= denominator_degree(f.denominator):
-        poly_part, r = poly_divrem(f.numerator, den_full)
-    else:
-        poly_part, r = ZERO, f.numerator
+    d = lcm(*(c.denominator for c in f.numerator))
+    r = [c.numerator * (d // c.denominator) for c in f.numerator]
+    b = denominator_expand(f.denominator)
+    poly_len = max(len(r) - len(b) + 1, 0)  # at most this many polynomial-part coefficients
     terms = []
-    rest = list(f.denominator)
-    while rest:
-        (k, e) = rest[0]
-        rest = rest[1:]
-        b = denominator_expand(rest)
-        pole = Fraction(1, k)
-        bval = poly_eval(b, pole)
+    for k, e in f.denominator:
+        for _ in range(e):
+            b = _deflate(b, k)
+            _require(b is not None, "a denominator factor does not divide its expansion")
+        b_at = _at_pole(b, k)
         for m in range(e, 0, -1):
-            c = poly_eval(r, pole) / bval
+            shift = len(b) - len(r)
+            c = Fraction(_at_pole(r, k) * k ** max(shift, 0), d * b_at * k ** max(-shift, 0))
             if c:
                 terms.append((k, m, c))
-            r = _deflate(poly_sub(r, poly_scale(b, c)), k)
+            scale, lift = c.denominator, d * c.numerator
+            r = _deflate([scale * x - lift * y for x, y in zip_longest(r, b, fillvalue=0)], k)
             _require(r is not None, "deflation by a factor that does not divide")
-    _require(not r, "peeling must exhaust the proper part")
-    return PartialFractionExpansion(tuple(terms), poly_part)
+            r = list(r)
+            while r and not r[-1]:
+                r.pop()
+            d *= scale
+            g = gcd(d, *r)
+            if g > 1:
+                d //= g
+                r = [x // g for x in r]
+    _require(len(r) <= poly_len, "peeling must exhaust the proper part")
+    return PartialFractionExpansion(tuple(terms), tuple(Fraction(x, d) if x else 0 for x in r))
 
 
 def reassemble(pfe: PartialFractionExpansion) -> RationalFunction:

@@ -11,7 +11,7 @@ from altruns.closed_form import (
     psi_from_recurrence,
     render_formula,
 )
-from altruns.exact_algebra import poly_eval
+from altruns.exact_algebra import partial_fractions, poly_eval, reassemble
 from altruns.genfun import build_us
 from altruns.run_counts import andre_triangle
 
@@ -67,8 +67,7 @@ def test_high_column_evaluated_one_row_down():
 
 def test_evaluate_refusals():
     f = formula_from_pfd(4)
-    with pytest.raises(ValueError):
-        evaluate_closed_form(f, 4)  # s >= n
+    assert evaluate_closed_form(f, 4) == 0  # s >= n: outside the triangle
     with pytest.raises(ValueError):
         evaluate_closed_form(f, 1)  # below the validity floor
 
@@ -89,6 +88,18 @@ def test_render_displays():
 def test_psi_routes_agree():
     for s in range(2, 9):
         assert tuple(psi_from_recurrence(s, s - 1)) == formula_from_pfd(s).psi
+
+
+def test_expansion_and_psi_over_the_real_levels():
+    # verify checks the psi routes only for s <= 8; the levels here reach
+    # multi-step peeling at every pole and large common denominators
+    us = build_us(20)
+    for s in range(1, 21):
+        assert reassemble(partial_fractions(us[s].ratfun)) == us[s].ratfun
+    for s in range(2, 17):
+        f = formula_from_pfd(s, us[s])
+        assert f.psi == tuple(psi_from_recurrence(s, s - 1))
+        assert all(evaluate_closed_form(f, n) == 0 for n in range(2, s + 1))  # outside the triangle
 
 
 def test_psi_partial_prefix():

@@ -201,8 +201,8 @@ def test_partial_fractions_known_expansion():
 
 @st.composite
 def rational_functions_st(draw):
-    ks = draw(st.lists(st.integers(1, 4), unique=True, min_size=1, max_size=3))
-    den = {k: draw(st.integers(1, 2)) for k in ks}
+    ks = draw(st.lists(st.integers(1, 7), unique=True, min_size=1, max_size=3))
+    den = {k: draw(st.integers(1, 4)) for k in ks}
     size = sum(den.values()) + draw(st.integers(0, 2))
     coeffs = draw(st.sampled_from([fractions_st, st.integers(-5, 5)]))
     num = draw(st.lists(coeffs, min_size=1, max_size=size + 1).map(poly))
