@@ -1,13 +1,15 @@
-"""Exact polynomial and rational-function arithmetic over the rationals.
+"""Exact polynomial arithmetic over the rationals, and rational functions
+with factored denominators.
 
 Polynomials are dense coefficient tuples, ints until a division makes a
 ``fractions.Fraction``: index i holds the coefficient of x**i, the last entry
-is nonzero, and the zero polynomial is the empty tuple. Denominators stay in
-the factored form prod (1 - k*x)**e with integer k >= 1, so every pole is
-known exactly and cancellation and partial fractions are synthetic division,
-not root finding. Partial fractions peel in integers over one common
-denominator; a ``Fraction`` appears only for each returned constant. Real-root
-counting uses exact Sturm chains.
+is nonzero, and the zero polynomial is the empty tuple. A RationalFunction
+keeps its denominator in the factored form prod (1 - k*x)**e with integer
+k >= 1, so every pole is known exactly; it is built in lowest terms by its
+caller, and there is no rational-function arithmetic. Series expansion runs
+the denominator's recurrence, and partial fractions peel in integers over one
+common denominator; a ``Fraction`` appears only for each returned constant.
+Real-root counting uses exact Sturm chains.
 """
 from __future__ import annotations
 
@@ -158,8 +160,8 @@ def denominator_expand(den) -> Poly:
 class RationalFunction:
     """numerator(x) / prod (1 - k*x)**e, stored in lowest terms.
 
-    Construction rejects a numerator sharing a root 1/k with the denominator;
-    use :func:`rational_function` to build with automatic cancellation.
+    Construction rejects a numerator sharing a root 1/k with the denominator,
+    and the zero numerator over any nonempty denominator; nothing cancels.
     """
 
     numerator: Poly
@@ -184,43 +186,6 @@ def _deflate(p: Poly, k: int):
         carry = c + k * carry
         q.append(carry)
     return None if q and q.pop() else tuple(q)
-
-
-def rational_function(numerator, denominator) -> RationalFunction:
-    """Build a RationalFunction, cancelling shared (1 - k*x) factors."""
-    num = poly(numerator)
-    if not num:
-        return RationalFunction(ZERO, ())
-    den = {k: e for k, e in factored_denominator(denominator)}
-    for k in list(den):
-        while den[k] and (q := _deflate(num, k)) is not None:
-            num, den[k] = q, den[k] - 1
-    return RationalFunction(num, factored_denominator(den))
-
-
-def rf_add(f: RationalFunction, g: RationalFunction) -> RationalFunction:
-    fd, gd = dict(f.denominator), dict(g.denominator)
-    den = {k: max(fd.get(k, 0), gd.get(k, 0)) for k in set(fd) | set(gd)}
-    fnum = poly_mul(f.numerator, denominator_expand({k: e - fd.get(k, 0) for k, e in den.items()}))
-    gnum = poly_mul(g.numerator, denominator_expand({k: e - gd.get(k, 0) for k, e in den.items()}))
-    return rational_function(poly_add(fnum, gnum), den)
-
-
-def rf_mul_poly(f: RationalFunction, p) -> RationalFunction:
-    return rational_function(poly_mul(f.numerator, poly(p)), f.denominator)
-
-
-def rf_derivative(f: RationalFunction) -> RationalFunction:
-    """d/dx, with the denominator kept factored (each exponent grows by one)."""
-    den = dict(f.denominator)
-    if not den:
-        return rational_function(poly_derivative(f.numerator), ())
-    p_all = denominator_expand({k: 1 for k in den})
-    num = poly_mul(poly_derivative(f.numerator), p_all)
-    for k, e in den.items():
-        others = denominator_expand({j: 1 for j in den if j != k})
-        num = poly_add(num, poly_scale(poly_mul(f.numerator, others), e * k))
-    return rational_function(num, {k: e + 1 for k, e in den.items()})
 
 
 def series_coefficients(f: RationalFunction, n_max: int) -> list:
@@ -302,20 +267,6 @@ def partial_fractions(f: RationalFunction) -> PartialFractionExpansion:
                 r = [x // g for x in r]
     _require(len(r) <= poly_len, "peeling must exhaust the proper part")
     return PartialFractionExpansion(tuple(terms), tuple(Fraction(x, d) if x else 0 for x in r))
-
-
-def reassemble(pfe: PartialFractionExpansion) -> RationalFunction:
-    """Recombine an expansion over the common denominator. Inverse of
-    :func:`partial_fractions` up to the stored reduced form."""
-    den = {}
-    for k, m, _ in pfe.pole_terms:
-        den[k] = max(den.get(k, 0), m)
-    num = poly_mul(pfe.poly_part, denominator_expand(den))
-    for k, m, c in pfe.pole_terms:
-        shrunk = dict(den)
-        shrunk[k] -= m
-        num = poly_add(num, poly_scale(denominator_expand(shrunk), c))
-    return rational_function(num, den)
 
 
 def _sign(x) -> int:

@@ -3,20 +3,22 @@
 For each s >= 1 the series u_s(x) = sum_{n>=2} P(n,s) x**n is rational with
 denominator prod_{i=0}^{s-1} (1 - (s-i)x)**eps(i), where eps runs
 1,1,2,2,3,3,... This module builds the u_s by the exact first-order
-recurrence, keeps denominators factored, and audits every degree the
-construction is supposed to satisfy. Numerator degree is always one more
-than denominator degree, so each u_s decomposes as a linear polynomial plus
-proper partial fractions.
+recurrence, assembling each numerator in integers over that known
+denominator, and audits every degree the construction is supposed to
+satisfy. Numerator degree is always one more than denominator degree, so
+each u_s decomposes as a linear polynomial plus proper partial fractions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from math import gcd
 
 from .exact_algebra import (
     ONE,
     ZERO,
     RationalFunction,
+    _deflate,
     _require,
     degree,
     denominator_degree,
@@ -28,10 +30,6 @@ from .exact_algebra import (
     poly_divrem,
     poly_mul,
     poly_scale,
-    rational_function,
-    rf_add,
-    rf_derivative,
-    rf_mul_poly,
 )
 
 
@@ -76,42 +74,63 @@ class UsFunction:
     ratfun: RationalFunction
 
 
+_NONZERO_REMAINDER = "factored denominator normalization failed: nonzero remainder"
+
+
 def build_us(s_max: int) -> list:
     """u_0..u_{s_max} (index is the level), built by the exact recurrence
 
         (1 - s*x) u_s = 2x u_{s-1} + x^2 u_{s-2}' - (s-1) x u_{s-2}
 
-    from u_0 = 0 and u_1 = 2x^2/(1-x). Each step clears the new denominator
-    against the predicted factored form; a nonzero remainder or a surviving
-    common factor means the predicted form is wrong and raises.
+    from u_0 = 0 and u_1 = 2x^2/(1-x). Each numerator N_s is assembled in
+    integers directly over the predicted denominator delta(s), through the
+    ratios delta(s)/((1-sx) delta(s-1)) and delta(s)/((1-sx) delta(s-2)). A
+    ratio that is not a polynomial raises "nonzero remainder"; a factor N_s
+    shares with delta(s) raises "common factor". Either means the predicted
+    form is wrong.
     """
     if s_max < 1:
         raise ValueError("need s_max >= 1")
-    out = [UsFunction(0, rational_function(ZERO, ()))]
+    out = [UsFunction(0, RationalFunction(ZERO, ()))]
     out.append(UsFunction(1, RationalFunction(poly((0, 0, 2)), delta(1))))
     for s in range(2, s_max + 1):
-        prev = out[s - 1].ratfun
-        prev2 = out[s - 2].ratfun
-        rhs = rf_add(
-            rf_mul_poly(prev, poly((0, 2))),
-            rf_add(
-                rf_mul_poly(rf_derivative(prev2), poly((0, 0, 1))),
-                rf_mul_poly(prev2, poly((0, -(s - 1)))),
-            ),
-        )
-        # rhs is in lowest terms: delta(s) clears rhs/(1-sx) iff it holds all its factors
         target = delta(s)
-        spare = dict(target)
-        for k, e in rhs.denominator + ((s, 1),):
-            spare[k] = spare.get(k, 0) - e
-        if min(spare.values()) < 0:
-            raise ArithmeticError("factored denominator normalization failed: nonzero remainder")
-        num = poly_mul(rhs.numerator, denominator_expand(spare))
-        u = rational_function(num, target)
-        if u.denominator != target or u.numerator != num:
-            raise ArithmeticError("factored denominator normalization failed: common factor")
-        out.append(UsFunction(s, u))
+        f1, f2 = out[s - 1].ratfun, out[s - 2].ratfun
+        r1, r2 = _ratio(target, f1.denominator, s), _ratio(target, f2.denominator, s)
+        # (1-kx)^-e differentiates to e*k (1-kx)^-(e+1): r2 must hold one more (1-kx)
+        correction = ZERO
+        for k, e in f2.denominator:
+            q = _deflate(r2, k)
+            if q is None:
+                raise ArithmeticError(_NONZERO_REMAINDER)
+            correction = poly_add(correction, poly_scale(q, e * k))
+        num = reduce(poly_add, _assembly_terms(s, f1.numerator, f2.numerator, r1, r2, correction))
+        try:
+            out.append(UsFunction(s, RationalFunction(num, target)))
+        except ValueError as err:
+            raise ArithmeticError("factored denominator normalization failed: common factor") from err
     return out
+
+
+def _ratio(target, lower, s: int) -> tuple:
+    """target / ((1 - s*x) lower) for factor maps, expanded; raises unless it is a polynomial."""
+    spare = dict(target)
+    for k, e in lower + ((s, 1),):
+        spare[k] = spare.get(k, 0) - e
+    if min(spare.values()) < 0:
+        raise ArithmeticError(_NONZERO_REMAINDER)
+    return denominator_expand(spare)
+
+
+def _assembly_terms(s: int, n1, n2, r1, r2, correction) -> tuple:
+    """The four pieces of N_s over delta(s): 2x N_{s-1} r1, x^2 N_{s-2}' r2,
+    x^2 N_{s-2} correction (from differentiating delta(s-2)) and -(s-1)x N_{s-2} r2."""
+    return (
+        poly_mul(poly((0, 2)), poly_mul(n1, r1)),
+        poly_mul(poly((0, 0, 1)), poly_mul(poly_derivative(n2), r2)),
+        poly_mul(poly((0, 0, 1)), poly_mul(n2, correction)),
+        poly_mul(poly((0, -(s - 1))), poly_mul(n2, r2)),
+    )
 
 
 def degree_audit(u: UsFunction) -> None:
@@ -177,26 +196,22 @@ def assembly_term_degrees(us: list, s: int) -> tuple:
     The pieces come from clearing the recurrence over the common denominator:
     2x * N_{s-1} * (even-gap product), x^2 * N_{s-2}' * (full product), the
     logarithmic-derivative correction, and -(s-1)x * N_{s-2} * (full product).
-    Raises if the four do not sum to the stored numerator exactly.
+    The ratios here are the explicit gap products, not the factor maps
+    build_us reads them from. Raises if the four do not sum to the stored
+    numerator exactly.
     """
     if s < 2 or s >= len(us):
         raise ValueError("need 2 <= s <= built levels")
-    n1 = us[s - 1].ratfun.numerator
-    n2 = us[s - 2].ratfun.numerator
     r1 = _gap_product(s, range(2, s, 2))
     r2 = _gap_product(s, range(1, s))
-    t1 = poly_mul(poly((0, 2)), poly_mul(n1, r1))
-    t2 = poly_mul(poly((0, 0, 1)), poly_mul(poly_derivative(n2), r2))
     correction = ZERO
     for j in range(2, s):
         part = _gap_product(s, (l for l in range(1, s) if l != j))
         correction = poly_add(correction, poly_scale(part, epsilon(j - 2) * (s - j)))
-    t3 = poly_mul(poly((0, 0, 1)), poly_mul(n2, correction))
-    t4 = poly_mul(poly((0, -(s - 1))), poly_mul(n2, r2))
-    total = poly_add(poly_add(t1, t2), poly_add(t3, t4))
-    if total != us[s].ratfun.numerator:
+    terms = _assembly_terms(s, us[s - 1].ratfun.numerator, us[s - 2].ratfun.numerator, r1, r2, correction)
+    if reduce(poly_add, terms) != us[s].ratfun.numerator:
         raise ArithmeticError(f"assembly identity failed at s={s}")
-    return tuple(degree(t) for t in (t1, t2, t3, t4))
+    return tuple(degree(t) for t in terms)
 
 
 def _power_text(base: str, e: int) -> str:

@@ -54,11 +54,12 @@ def test_build_us_small_levels():
 
 
 def test_series_match_triangle():
-    us = build_us(6)
-    t = andre_triangle(15)
-    for s in range(1, 7):
-        coeffs = series_coefficients(us[s].ratfun, 15)
-        for n in range(16):
+    # deg N_20 = 111 < 120, so given delta(s) the triangle pins every numerator
+    us = build_us(20)
+    t = andre_triangle(120)
+    for s in range(1, 21):
+        coeffs = series_coefficients(us[s].ratfun, 120)
+        for n in range(121):
             expected = t.value(n, s) if n >= 2 else 0
             assert coeffs[n] == expected, (n, s)
 
@@ -133,6 +134,7 @@ def test_numerators_are_integral():
     [
         ({2: 1}, "nonzero remainder"),  # (1-2x)^2 dropped to the first power
         ({4: 2}, "common factor"),  # an extra (1-4x)
+        ({4: 2, 3: 2, 2: 1, 1: 1}, "nonzero remainder"),  # multiplicities reversed, same degree
     ],
 )
 def test_build_us_rejects_a_wrong_denominator(monkeypatch, change, failure):
